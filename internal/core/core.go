@@ -260,7 +260,7 @@ func CompileContext(ctx context.Context, f *ir.Func, opts Options) (*Result, err
 	return res, nil
 }
 
-/// checkInputBounds rejects inputs whose pre-assigned physical FP
+// checkInputBounds rejects inputs whose pre-assigned physical FP
 // registers fall outside opts.File before any phase runs. ir.Func.Verify
 // cannot check this — structural well-formedness is file-independent —
 // and letting such a function through would either trip the verifier's

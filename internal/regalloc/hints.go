@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"prescount/internal/ir"
+	"prescount/internal/scratch"
 )
 
 // allocOrderCache memoizes the FP allocation orders per file size.
@@ -52,16 +53,30 @@ func allocOrder(numRegs int) []int {
 // The order encodes all hinting: earlier candidates are preferred both for
 // free assignment and for eviction.
 func (a *allocator) candidates(r ir.Reg, c ir.Class) []int {
+	cands, whole := a.candidateHead(r, c)
+	if !whole {
+		cands = a.bpcTail(r)
+	}
+	return cands
+}
+
+// candidateHead returns a prefix of candidates(r, c), and whether that
+// prefix is the whole list. Only bpc returns a proper prefix — its
+// bank-conforming head — and bpcTail then extends the same list with the
+// fallback order outside the bank. Building the tail costs a pass over
+// the whole register file, which an allocation that finds a free register
+// in its bank never needs.
+func (a *allocator) candidateHead(r ir.Reg, c ir.Class) (cands []int, whole bool) {
 	if c == ir.ClassGPR {
-		return gprOrder()
+		return gprOrder(), true
 	}
 	switch a.opts.Method {
 	case MethodBPC:
 		return a.bpcCandidates(r)
 	case MethodBCR:
-		return a.bcrCandidates(r)
+		return a.bcrCandidates(r), true
 	default:
-		return allocOrder(a.opts.Cfg.NumRegs)
+		return allocOrder(a.opts.Cfg.NumRegs), true
 	}
 }
 
@@ -69,10 +84,13 @@ func (a *allocator) candidates(r ir.Reg, c ir.Class) []int {
 //  1. registers conforming to the assigned bank and (on subgroup files) the
 //     group's subgroup displacement — the Hints of Algorithm 2;
 //  2. the rest of the assigned bank;
-//  3. everything else in index order (keeps the allocator total: the bank
-//     assignment is a strong preference, not a hard constraint, because
-//     breaking it is cheaper than spilling — paper §III-B).
-func (a *allocator) bpcCandidates(r ir.Reg) []int {
+//  3. everything else (keeps the allocator total: the bank assignment is a
+//     strong preference, not a hard constraint, because breaking it is
+//     cheaper than spilling — paper §III-B).
+//
+// It returns groups 1 and 2 with whole == false when r has a bank; bpcTail
+// appends group 3. The subgroup bookkeeping runs here, once per call.
+func (a *allocator) bpcCandidates(r ir.Reg) (cands []int, whole bool) {
 	cfg := a.opts.Cfg
 	// Spill pseudo-registers inherit the bank of the register they stand
 	// in for, so reload/store sites keep the RCG coloring.
@@ -84,38 +102,41 @@ func (a *allocator) bpcCandidates(r ir.Reg) []int {
 		bank, haveBank = a.opts.FreeHints[r]
 	}
 	if !haveBank {
-		return allocOrder(cfg.NumRegs)
+		return allocOrder(cfg.NumRegs), true
 	}
 	displ := -1
 	if cfg.HasSubgroups() {
 		displ = a.subgroupDispl(r)
 	}
-	if cap(a.candSeen) < cfg.NumRegs {
-		a.candSeen = make([]bool, cfg.NumRegs)
-	} else {
-		a.candSeen = a.candSeen[:cfg.NumRegs]
-		clear(a.candSeen)
+	a.candSeen = scratch.Zeroed(a.candSeen, cfg.NumRegs)
+	a.candOut = a.candOut[:0]
+	if displ >= 0 {
+		a.addCandidates(cfg.RegsConforming(bank, displ))
 	}
-	seen := a.candSeen
-	out := a.candOut[:0]
-	add := func(regs []int) {
-		for _, p := range regs {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
+	a.addCandidates(cfg.RegsConforming(bank, -1))
+	return a.candOut, false
+}
+
+// bpcTail completes the list the last bpcCandidates(r) call started.
+// Rather than a blind order, the fallback outside the assigned bank reuses
+// the per-instruction avoidance of the bcr heuristic, so a broken bank
+// assignment still dodges the hottest conflict partner.
+func (a *allocator) bpcTail(r ir.Reg) []int {
+	if parent, ok := a.pseudoParent[r]; ok {
+		r = parent
+	}
+	a.addCandidates(a.bcrCandidates(r))
+	return a.candOut
+}
+
+// addCandidates appends the registers of regs not yet in the list.
+func (a *allocator) addCandidates(regs []int) {
+	for _, p := range regs {
+		if !a.candSeen[p] {
+			a.candSeen[p] = true
+			a.candOut = append(a.candOut, p)
 		}
 	}
-	if displ >= 0 {
-		add(cfg.RegsConforming(bank, displ))
-	}
-	add(cfg.RegsConforming(bank, -1))
-	// Fallback outside the assigned bank: rather than a blind order, reuse
-	// the per-instruction avoidance of the bcr heuristic, so a broken bank
-	// assignment still dodges the hottest conflict partner.
-	add(a.bcrCandidates(r))
-	a.candOut = out
-	return out
 }
 
 // subgroupDispl implements Algorithm 2's displacement bookkeeping: the

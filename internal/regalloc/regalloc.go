@@ -33,6 +33,7 @@ import (
 	"prescount/internal/cfg"
 	"prescount/internal/ir"
 	"prescount/internal/liveness"
+	"prescount/internal/scratch"
 )
 
 // Method selects the bank-conflict mitigation strategy of the allocator.
@@ -321,7 +322,7 @@ func (a *allocator) init(f *ir.Func, opts Options) {
 		a.firstReload = map[siteKey]bool{}
 		a.splits = map[ir.Reg][]splitPlan{}
 	}
-	a.usage = resizeZeroed(a.usage, opts.Cfg.NumSubgroups)
+	a.usage = scratch.Zeroed(a.usage, opts.Cfg.NumSubgroups)
 	if cap(a.fpUnions) < opts.Cfg.NumRegs {
 		a.fpUnions = make([]liveness.Union, opts.Cfg.NumRegs)
 	} else {
@@ -365,17 +366,6 @@ func (a *allocator) release() {
 	a.f, a.res, a.cf, a.lv = nil, nil, nil, nil
 	a.opts = Options{}
 	allocPool.Put(a)
-}
-
-// resizeZeroed returns s with length n and every element zero, reusing the
-// backing array when it is large enough.
-func resizeZeroed[T int | bool | *liveness.Interval](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 func (a *allocator) run() error {
@@ -433,8 +423,8 @@ func (a *allocator) run() error {
 // inserts them into a union, so they all share the allocator's single
 // reusable clobber interval.
 func (a *allocator) buildFixedClobbers() {
-	a.fixedFP = resizeZeroed(a.fixedFP, a.opts.Cfg.NumRegs)
-	a.fixedGPR = resizeZeroed(a.fixedGPR, numGPRFile)
+	a.fixedFP = scratch.Zeroed(a.fixedFP, a.opts.Cfg.NumRegs)
+	a.fixedGPR = scratch.Zeroed(a.fixedGPR, numGPRFile)
 	a.callSlots = a.callSlots[:0]
 	for _, b := range a.f.Blocks {
 		for i, in := range b.Instrs {
@@ -539,11 +529,15 @@ func (a *allocator) assignOne(r ir.Reg) error {
 	c := a.classOf(r)
 	iv := a.intervalOf(r)
 	unions := a.unions(c)
-	cands := a.candidates(r, c)
+	spansCall := a.spansCall(c, iv)
+	cands, whole := a.candidateHead(r, c)
+	if !whole && spansCall {
+		cands, whole = a.bpcTail(r), true
+	}
 	// CSR-aware ordering: an interval crossing a call can only live in
 	// callee-saved registers, so try those first (stable within each
 	// group) instead of burning through doomed caller-saved candidates.
-	if a.spansCall(c, iv) {
+	if spansCall {
 		callee := a.calleeBuf[:0]
 		caller := a.callerBuf[:0]
 		for _, p := range cands {
@@ -560,11 +554,17 @@ func (a *allocator) assignOne(r ir.Reg) error {
 
 	// Stage 1: first free candidate (callee-saved availability included:
 	// a caller-saved register is unusable for intervals spanning a call).
-	for _, p := range cands {
-		if fx := a.fixedOf(c, p); fx != nil && fx.Overlaps(iv) {
-			continue
-		}
-		if !unions[p].HasConflict(iv) {
+	// A partial list is the bank-conforming head: only when it has no free
+	// register does the search continue into the tail, so the first free
+	// register found is the first of the whole list.
+	if p := a.firstFree(c, iv, cands); p >= 0 {
+		a.place(r, c, p)
+		return nil
+	}
+	if !whole {
+		head := len(cands)
+		cands = a.bpcTail(r)
+		if p := a.firstFree(c, iv, cands[head:]); p >= 0 {
 			a.place(r, c, p)
 			return nil
 		}
@@ -624,6 +624,21 @@ func (a *allocator) assignOne(r ir.Reg) error {
 	}
 	a.spill(r, c)
 	return nil
+}
+
+// firstFree returns the first candidate whose register is free over iv,
+// or -1.
+func (a *allocator) firstFree(c ir.Class, iv *liveness.Interval, cands []int) int {
+	unions := a.unions(c)
+	for _, p := range cands {
+		if fx := a.fixedOf(c, p); fx != nil && fx.Overlaps(iv) {
+			continue
+		}
+		if !unions[p].HasConflict(iv) {
+			return p
+		}
+	}
+	return -1
 }
 
 func (a *allocator) place(r ir.Reg, c ir.Class, p int) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"prescount/internal/ir"
+	"prescount/internal/scratch"
 )
 
 // Stats reports scheduling activity.
@@ -24,11 +25,13 @@ type Stats struct {
 func Run(f *ir.Func) Stats {
 	var st Stats
 	sc := scratchPool.Get().(*blockScratch)
+	sc.bind(f)
 	for _, b := range f.Blocks {
 		if scheduleBlock(f, b, sc) {
 			st.Reordered++
 		}
 	}
+	clear(sc.phys)
 	scratchPool.Put(sc)
 	if st.Reordered > 0 {
 		f.MarkMutated()
@@ -36,39 +39,99 @@ func Run(f *ir.Func) Stats {
 	return st
 }
 
-// blockScratch holds the per-block working state of scheduleBlock, pooled
-// across blocks and Run invocations so steady-state scheduling does not
-// allocate. Everything here is indexes and counters — nothing retains IR
-// pointers between blocks, so pooling is retention-safe.
+// blockScratch holds the working state of scheduleBlock, pooled across
+// blocks and Run invocations so steady-state scheduling does not allocate.
+// Everything here is indexes and counters — nothing retains IR pointers
+// between blocks, so pooling is retention-safe.
 type blockScratch struct {
 	// succs[i] lists dependence successors of instruction i. Lists may hold
 	// duplicate targets (one pair can be related by several hazards); indeg
 	// counts every recorded edge, so increments and release decrements stay
-	// consistent.
+	// consistent. A scheduled instruction's indeg is -1.
 	succs [][]int32
 	indeg []int32
-	// use chains: useHead maps a register to its most recent use node;
-	// useNext/useInstr are parallel arrays forming per-register linked
-	// lists (the slice-of-slices lastUses this replaces allocated a fresh
-	// list per register per block).
-	useHead  map[ir.Reg]int32
+
+	// Per-register state, dense over register slots (see slot). A slot is
+	// (re)initialized on its first touch in a block — stamp records the
+	// epoch of that touch — so a block costs O(its own operands) however
+	// many registers the function has.
+	stamp []uint32
+	epoch uint32
+	// lastDef is the register's most recent def in the block (-1: none).
+	// useHead heads its chain of uses since that def (-1: none); the chain
+	// nodes are useNext/useInstr, parallel arrays of per-use links.
+	lastDef  []int32
+	useHead  []int32
 	useNext  []int32
 	useInstr []int32
-	lastDef  map[ir.Reg]int32
-	remUses  map[ir.Reg]int32
-	memOps   []int32
-	ready    []int32
-	order    []int32
+	// readers counts the unscheduled instructions that still read the
+	// register; readerXor is the XOR of their indexes, so when the count
+	// falls to one it names the single remaining reader.
+	readers   []int32
+	readerXor []int32
+	// nv is the bound function's virtual register count: virtual register
+	// i owns slot i, and physical registers get slots nv, nv+1, ... in
+	// order of first appearance through phys.
+	nv   int
+	phys map[ir.Reg]int32
+
+	// fp and gpr are each instruction's current score: net live growth of
+	// its class if scheduled now. Scores only fall as readers retire.
+	fp, gpr []int32
+	memOps  []int32
+	ready   readyHeap
+	order   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &blockScratch{
-		useHead: map[ir.Reg]int32{},
-		lastDef: map[ir.Reg]int32{},
-		remUses: map[ir.Reg]int32{},
-	}
+	return &blockScratch{phys: map[ir.Reg]int32{}}
 }}
 
+// bind sizes the per-register state for f's virtual registers.
+func (sc *blockScratch) bind(f *ir.Func) {
+	sc.nv = len(f.VRegs)
+	sc.growSlots(sc.nv)
+}
+
+// growSlots makes room for n register slots. New slots carry stamp 0,
+// which no live epoch uses.
+func (sc *blockScratch) growSlots(n int) {
+	if n <= len(sc.stamp) {
+		return
+	}
+	grow := n - len(sc.stamp)
+	sc.stamp = append(sc.stamp, make([]uint32, grow)...)
+	sc.lastDef = append(sc.lastDef, make([]int32, grow)...)
+	sc.useHead = append(sc.useHead, make([]int32, grow)...)
+	sc.readers = append(sc.readers, make([]int32, grow)...)
+	sc.readerXor = append(sc.readerXor, make([]int32, grow)...)
+}
+
+// slot returns r's dense state index, initializing the state on the
+// register's first touch in the current block.
+func (sc *blockScratch) slot(r ir.Reg) int32 {
+	var s int32
+	if r.IsVirt() {
+		s = int32(r.VirtIndex())
+	} else {
+		p, ok := sc.phys[r]
+		if !ok {
+			p = int32(sc.nv + len(sc.phys))
+			sc.phys[r] = p
+			sc.growSlots(int(p) + 1)
+		}
+		s = p
+	}
+	if sc.stamp[s] != sc.epoch {
+		sc.stamp[s] = sc.epoch
+		sc.lastDef[s], sc.useHead[s] = -1, -1
+		sc.readers[s], sc.readerXor[s] = 0, 0
+	}
+	return s
+}
+
+// prepare resets the per-instruction state for a block body of n
+// instructions and opens a new epoch for the per-register state.
 func (sc *blockScratch) prepare(n int) {
 	if cap(sc.succs) < n {
 		sc.succs = make([][]int32, n)
@@ -78,20 +141,30 @@ func (sc *blockScratch) prepare(n int) {
 	for i := range sc.succs {
 		sc.succs[i] = sc.succs[i][:0]
 	}
-	if cap(sc.indeg) < n {
-		sc.indeg = make([]int32, n)
-	} else {
-		sc.indeg = sc.indeg[:n]
-		clear(sc.indeg)
-	}
+	sc.indeg = scratch.Zeroed(sc.indeg, n)
+	sc.fp = scratch.Zeroed(sc.fp, n)
+	sc.gpr = scratch.Zeroed(sc.gpr, n)
 	sc.useNext = sc.useNext[:0]
 	sc.useInstr = sc.useInstr[:0]
 	sc.memOps = sc.memOps[:0]
 	sc.ready = sc.ready[:0]
 	sc.order = sc.order[:0]
-	clear(sc.useHead)
-	clear(sc.lastDef)
-	clear(sc.remUses)
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: no stamp may match a reused epoch
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+}
+
+// firstUse reports whether operand k of uses is the first occurrence of its
+// register, so per-register bookkeeping counts x*x once.
+func firstUse(uses []ir.Reg, k int) bool {
+	for _, u := range uses[:k] {
+		if u == uses[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // scheduleBlock performs a forward list scheduling of one block. It returns
@@ -107,9 +180,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 
 	// Build the dependence DAG. Edge lists may hold duplicates (one pair
 	// can be related by several hazards at once); every duplicate counts on
-	// both the indeg and the release side, so readiness is unchanged. Edge
-	// targets equal the construction loop index, so each successor list
-	// comes out sorted — the release order below needs no per-pop sort.
+	// both the indeg and the release side, so readiness is unchanged.
 	addDep := func(from, to int) {
 		if from != to {
 			sc.succs[from] = append(sc.succs[from], int32(to))
@@ -128,29 +199,36 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 		} else if lastBarrier >= 0 {
 			addDep(lastBarrier, i)
 		}
-		for _, u := range in.Uses {
-			if d, ok := sc.lastDef[u]; ok {
+		for k, u := range in.Uses {
+			s := sc.slot(u)
+			if d := sc.lastDef[s]; d >= 0 {
 				addDep(int(d), i) // RAW
 			}
-			head, ok := sc.useHead[u]
-			if !ok {
-				head = -1
-			}
-			sc.useNext = append(sc.useNext, head)
+			sc.useNext = append(sc.useNext, sc.useHead[s])
 			sc.useInstr = append(sc.useInstr, int32(i))
-			sc.useHead[u] = int32(len(sc.useNext) - 1)
+			sc.useHead[s] = int32(len(sc.useNext) - 1)
+			if u.IsVirt() && firstUse(in.Uses, k) {
+				sc.readers[s]++
+				sc.readerXor[s] ^= int32(i)
+			}
 		}
 		for _, d := range in.Defs {
-			if pd, ok := sc.lastDef[d]; ok {
+			s := sc.slot(d)
+			if pd := sc.lastDef[s]; pd >= 0 {
 				addDep(int(pd), i) // WAW
 			}
-			if head, ok := sc.useHead[d]; ok {
-				for node := head; node >= 0; node = sc.useNext[node] {
-					addDep(int(sc.useInstr[node]), i) // WAR
-				}
-				delete(sc.useHead, d)
+			for node := sc.useHead[s]; node >= 0; node = sc.useNext[node] {
+				addDep(int(sc.useInstr[node]), i) // WAR
 			}
-			sc.lastDef[d] = int32(i)
+			sc.useHead[s] = -1
+			sc.lastDef[s] = int32(i)
+			if d.IsVirt() {
+				if f.RegClass(d) == ir.ClassFP {
+					sc.fp[i]++
+				} else {
+					sc.gpr[i]++
+				}
+			}
 		}
 		if isMem(in.Op) {
 			for _, m := range sc.memOps {
@@ -162,98 +240,69 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 		}
 	}
 
-	// Uses remaining per register: a def whose last use is scheduled frees
-	// a register; scheduling a def opens one. Greedy choice: among ready
-	// instructions pick the one minimizing net FP live growth, then net
-	// GPR growth, then original order (stability).
-	for _, in := range body {
-		for _, u := range in.Uses {
-			if u.IsVirt() {
-				sc.remUses[u]++
+	// Greedy choice: among ready instructions pick the one minimizing net
+	// FP live growth, then net GPR growth, then original order (stability).
+	// A def opens a register; a use frees one when the instruction is the
+	// only unscheduled one in the block still reading it. Seed the scores
+	// with the uses that already have a single reader.
+	kill := func(u ir.Reg, i int32) {
+		if f.RegClass(u) == ir.ClassFP {
+			sc.fp[i]--
+		} else {
+			sc.gpr[i]--
+		}
+	}
+	for i, in := range body {
+		for k, u := range in.Uses {
+			if u.IsVirt() && firstUse(in.Uses, k) && sc.readers[sc.slot(u)] == 1 {
+				kill(u, int32(i))
 			}
 		}
 	}
-	ready := sc.ready
 	for i := range body {
 		if sc.indeg[i] == 0 {
-			ready = append(ready, int32(i))
+			sc.ready.push(int32(i), sc.fp[i], sc.gpr[i])
 		}
 	}
-	score := func(i int32) (fpDelta, gprDelta int) {
-		in := body[i]
-		for _, d := range in.Defs {
-			if !d.IsVirt() {
-				continue
-			}
-			if f.RegClass(d) == ir.ClassFP {
-				fpDelta++
-			} else {
-				gprDelta++
-			}
-		}
-		// A register dies here if this instruction holds all its remaining
-		// uses. Occurrences are counted inline over the (tiny) operand list
-		// — so x*x kills x correctly — processing each distinct register at
-		// its first position only.
-		uses := in.Uses
-		for k, u := range uses {
-			if !u.IsVirt() {
-				continue
-			}
-			cnt := int32(0)
-			dup := false
-			for k2, u2 := range uses {
-				if u2 != u {
-					continue
-				}
-				if k2 < k {
-					dup = true
-					break
-				}
-				cnt++
-			}
-			if dup || sc.remUses[u] != cnt {
-				continue
-			}
-			if f.RegClass(u) == ir.ClassFP {
-				fpDelta--
-			} else {
-				gprDelta--
-			}
-		}
-		return
-	}
+	// The (fp, gpr, index) key is a strict total order, so the heap's
+	// minimum is exactly what a scan of the ready list would pick. Scores
+	// only fall, so an instruction whose score dropped while ready is
+	// pushed again with the lower key and its older entries go stale:
+	// they are skipped when popped.
 	order := sc.order
-	for len(ready) > 0 {
-		best, bi := ready[0], 0
-		bf, bg := score(best)
-		for k := 1; k < len(ready); k++ {
-			cand := ready[k]
-			cf2, cg := score(cand)
-			if cf2 < bf || (cf2 == bf && cg < bg) ||
-				(cf2 == bf && cg == bg && cand < best) {
-				best, bi, bf, bg = cand, k, cf2, cg
-			}
+	for len(sc.ready) > 0 {
+		c := sc.ready.pop()
+		if sc.indeg[c.idx] != 0 || c.fp != sc.fp[c.idx] || c.gpr != sc.gpr[c.idx] {
+			continue // stale
 		}
-		ready = append(ready[:bi], ready[bi+1:]...)
+		best := c.idx
+		sc.indeg[best] = -1
 		order = append(order, best)
-		for _, u := range body[best].Uses {
-			if u.IsVirt() {
-				sc.remUses[u]--
+		uses := body[best].Uses
+		for k, u := range uses {
+			if !u.IsVirt() || !firstUse(uses, k) {
+				continue
+			}
+			s := sc.slot(u)
+			sc.readers[s]--
+			sc.readerXor[s] ^= best
+			if sc.readers[s] == 1 {
+				// One reader left: it now kills u.
+				last := sc.readerXor[s]
+				kill(u, last)
+				if sc.indeg[last] == 0 {
+					sc.ready.push(last, sc.fp[last], sc.gpr[last])
+				}
 			}
 		}
-		// Successor lists are sorted by construction, and a node reaches
-		// indeg zero at the last duplicate of its last releasing edge —
-		// last duplicates appear in ascending target order, so nodes enter
-		// the ready list exactly as the earlier sorted-unique release did.
 		for _, s := range sc.succs[best] {
 			sc.indeg[s]--
 			if sc.indeg[s] == 0 {
-				ready = append(ready, s)
+				sc.ready.push(s, sc.fp[s], sc.gpr[s])
 			}
 		}
 	}
-	sc.ready, sc.order = ready[:0], order
+	sc.order = order
 	if len(order) != len(body) {
 		// Cycle (cannot happen with a well-formed DAG); keep original.
 		return false
@@ -276,6 +325,62 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 	}
 	b.Instrs = append(newBody, term)
 	return true
+}
+
+// readyEntry is one ready-heap entry: an instruction and its score when it
+// was pushed.
+type readyEntry struct{ idx, fp, gpr int32 }
+
+// readyHeap is a binary min-heap of ready instructions keyed by
+// (fp, gpr, idx).
+type readyHeap []readyEntry
+
+func (h readyHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.fp != b.fp {
+		return a.fp < b.fp
+	}
+	if a.gpr != b.gpr {
+		return a.gpr < b.gpr
+	}
+	return a.idx < b.idx
+}
+
+func (h *readyHeap) push(idx, fp, gpr int32) {
+	*h = append(*h, readyEntry{idx, fp, gpr})
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *readyHeap) pop() readyEntry {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }
 
 // MustPrecede reports whether an instruction pair (a textually before b in

@@ -102,3 +102,15 @@ func Put(a *Arena) {
 	a.Reset()
 	pool.Put(a)
 }
+
+// Zeroed returns s with length n and every element zero, reusing the
+// backing array when it is large enough: the reset of the pooled
+// per-pass scratch slices.
+func Zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -23,9 +23,11 @@
 package sdg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"prescount/internal/ir"
+	"prescount/internal/scratch"
 )
 
 // DefaultMaxGroup is the default upper bound on subgroup group size before
@@ -36,19 +38,36 @@ const DefaultMaxGroup = 8
 // this only guards degenerate inputs.
 const maxRounds = 256
 
-// Graph is the Same Displacement Graph of a function.
+// Graph is the Same Displacement Graph of a function. Groups reuses
+// scratch held in the Graph, so a Graph is not safe for concurrent use.
 type Graph struct {
-	// Out maps register to the registers its value flows into (per
-	// instruction input->output edges), with multiplicity.
-	Out map[ir.Reg][]ir.Reg
-	// In maps register to the input registers of the instructions defining
-	// it, with multiplicity.
-	In map[ir.Reg][]ir.Reg
+	// edges lists every input->output edge in instruction order, with
+	// multiplicity: one per (vector ALU instruction, FP input) pair.
+	edges []Edge
+	// outDeg and inDeg count each register's outgoing and incoming edges,
+	// indexed by virtual register index.
+	outDeg, inDeg []int32
+	// parent, size and roots are Groups' union-find scratch, reused when
+	// Split rebuilds the graph in place after every split.
+	parent, size, roots []int32
 }
+
+// Edge is one SDG edge: the value of From flows into To through a vector
+// ALU instruction, so both must share a subgroup displacement.
+type Edge struct{ From, To ir.Reg }
 
 // Build constructs the SDG over virtual FP registers of f.
 func Build(f *ir.Func) *Graph {
-	g := &Graph{Out: map[ir.Reg][]ir.Reg{}, In: map[ir.Reg][]ir.Reg{}}
+	g := &Graph{}
+	g.build(f)
+	return g
+}
+
+// build (re)computes g over f, reusing g's slices.
+func (g *Graph) build(f *ir.Func) {
+	g.edges = g.edges[:0]
+	g.outDeg = scratch.Zeroed(g.outDeg, len(f.VRegs))
+	g.inDeg = scratch.Zeroed(g.inDeg, len(f.VRegs))
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if !in.Op.IsVectorALU() {
@@ -62,87 +81,120 @@ func Build(f *ir.Func) *Graph {
 				if in.Op.UseClass(i) != ir.ClassFP || !u.IsVirt() || u == d {
 					continue
 				}
-				g.Out[u] = append(g.Out[u], d)
-				g.In[d] = append(g.In[d], u)
+				g.edges = append(g.edges, Edge{u, d})
+				g.outDeg[u.VirtIndex()]++
+				g.inDeg[d.VirtIndex()]++
 			}
 		}
 	}
-	return g
+}
+
+// Edges returns the edges sorted by source, then destination, with
+// multiplicity.
+func (g *Graph) Edges() []Edge {
+	out := slices.Clone(g.edges)
+	slices.SortFunc(out, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.To, b.To)
+	})
+	return out
 }
 
 // OutDegree returns the number of outgoing edges of r.
-func (g *Graph) OutDegree(r ir.Reg) int { return len(g.Out[r]) }
+func (g *Graph) OutDegree(r ir.Reg) int { return degree(g.outDeg, r) }
 
 // InDegree returns the number of incoming edges of r.
-func (g *Graph) InDegree(r ir.Reg) int { return len(g.In[r]) }
+func (g *Graph) InDegree(r ir.Reg) int { return degree(g.inDeg, r) }
+
+func degree(deg []int32, r ir.Reg) int {
+	if !r.IsVirt() || r.VirtIndex() >= len(deg) {
+		return 0
+	}
+	return int(deg[r.VirtIndex()])
+}
 
 // Groups returns the weakly connected components ("subgroup groups") of the
 // SDG, each sorted, ordered by decreasing size then smallest member.
+//
+// A union-find over virtual register indexes builds the components. Union
+// hangs the larger root under the smaller, so every root is its
+// component's minimum member, and an ascending scan of the indexes meets
+// each component's members in sorted order.
 func (g *Graph) Groups() [][]ir.Reg {
-	parent := map[ir.Reg]ir.Reg{}
-	var find func(r ir.Reg) ir.Reg
-	find = func(r ir.Reg) ir.Reg {
-		p, ok := parent[r]
-		if !ok {
-			parent[r] = r
-			return r
-		}
-		if p == r {
-			return r
-		}
-		root := find(p)
-		parent[r] = root
-		return root
+	n := len(g.outDeg)
+	parent := g.parent[:0]
+	for i := 0; i < n; i++ {
+		parent = append(parent, -1) // -1: not in the graph
 	}
-	union := func(a, b ir.Reg) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving keeps roots
+			x = parent[x]
 		}
+		return x
 	}
-	for u, outs := range g.Out {
-		for _, d := range outs {
-			union(u, d)
+	for _, e := range g.edges {
+		a, b := int32(e.From.VirtIndex()), int32(e.To.VirtIndex())
+		if parent[a] < 0 {
+			parent[a] = a
+		}
+		if parent[b] < 0 {
+			parent[b] = b
+		}
+		if ra, rb := find(a), find(b); ra != rb {
+			parent[max(ra, rb)] = min(ra, rb)
 		}
 	}
-	byRoot := map[ir.Reg][]ir.Reg{}
-	members := make([]ir.Reg, 0, len(parent))
-	for r := range parent {
-		members = append(members, r)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	// union() parents the larger root under the smaller, so each component's
-	// root is its minimum member; walking members in ascending order therefore
-	// visits every root before the rest of its component, and first-seen order
-	// of roots is already sorted — no sorted-keys temporary needed.
-	var roots []ir.Reg
-	for _, r := range members {
-		root := find(r)
-		if _, ok := byRoot[root]; !ok {
-			roots = append(roots, root)
+	// size[root] counts members; after ordering it holds the group index.
+	size := scratch.Zeroed(g.size, n)
+	roots := g.roots[:0]
+	members := 0
+	for i := int32(0); i < int32(n); i++ {
+		if parent[i] < 0 {
+			continue
 		}
-		byRoot[root] = append(byRoot[root], r)
-	}
-	groups := make([][]ir.Reg, 0, len(roots))
-	for _, root := range roots {
-		groups = append(groups, byRoot[root])
-	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		if len(groups[i]) != len(groups[j]) {
-			return len(groups[i]) > len(groups[j])
+		r := find(i)
+		if r == i {
+			roots = append(roots, i)
 		}
-		return groups[i][0] < groups[j][0]
+		size[r]++
+		members++
+	}
+	slices.SortFunc(roots, func(a, b int32) int {
+		if c := cmp.Compare(size[b], size[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	slab := make([]ir.Reg, 0, members)
+	groups := make([][]ir.Reg, len(roots))
+	for gi, r := range roots {
+		lo := len(slab)
+		slab = slab[:lo+int(size[r])]
+		groups[gi] = slab[lo:lo:len(slab)]
+		size[r] = int32(gi)
+	}
+	for i := int32(0); i < int32(n); i++ {
+		if parent[i] >= 0 {
+			gi := size[find(i)]
+			groups[gi] = append(groups[gi], ir.VReg(int(i)))
+		}
+	}
+	g.parent, g.size, g.roots = parent, size, roots
 	return groups
 }
 
 // GroupOf returns a map from register to its group index per Groups().
 func (g *Graph) GroupOf() map[ir.Reg]int {
-	out := map[ir.Reg]int{}
-	for i, grp := range g.Groups() {
+	groups := g.Groups()
+	n := 0
+	for _, grp := range groups {
+		n += len(grp)
+	}
+	out := make(map[ir.Reg]int, n)
+	for i, grp := range groups {
 		for _, r := range grp {
 			out[r] = i
 		}
@@ -186,8 +238,6 @@ func Split(f *ir.Func, opts Options) Stats {
 	stall := 0
 	prevLargest := st.LargestBefore
 	for round := 0; round < maxRounds; round++ {
-		g = Build(f)
-		groups = g.Groups()
 		if len(groups) == 0 || len(groups[0]) <= maxGroup {
 			break
 		}
@@ -214,12 +264,12 @@ func Split(f *ir.Func, opts Options) Stats {
 			}
 		}
 		if !split {
-			break
+			break // a failed split leaves f untouched: groups stay current
 		}
+		g.build(f)
+		groups = g.Groups()
 	}
 
-	g = Build(f)
-	groups = g.Groups()
 	st.GroupsAfter = len(groups)
 	if len(groups) > 0 {
 		st.LargestAfter = len(groups[0])

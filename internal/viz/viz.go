@@ -7,7 +7,6 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"prescount/internal/ir"
@@ -85,17 +84,8 @@ func SDGDot(g *sdg.Graph) string {
 		}
 		sb.WriteString("  }\n")
 	}
-	var srcs []ir.Reg
-	for s := range g.Out {
-		srcs = append(srcs, s)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, s := range srcs {
-		dsts := append([]ir.Reg(nil), g.Out[s]...)
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, d := range dsts {
-			fmt.Fprintf(&sb, "  %q -> %q;\n", s.String(), d.String())
-		}
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&sb, "  %q -> %q;\n", e.From.String(), e.To.String())
 	}
 	sb.WriteString("}\n")
 	return sb.String()
