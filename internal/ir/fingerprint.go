@@ -3,9 +3,8 @@ package ir
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint is a content address for a function: the SHA-256 of its
@@ -54,32 +53,26 @@ func (f *Func) Fingerprint() Fingerprint {
 // virtual-register class table (use operands print without classes, so the
 // table is not fully determined by the body) and the allocator-state fields
 // that seed compilation (SpillSlots numbers new spill slots, NumFPRegs is
-// carried by Clone).
+// carried by Clone). The block text comes from Print's own formatter, so
+// these bytes, and with them every fingerprint ever stored (disk-cache
+// record names, ring placement), stay what Print makes them.
 func writeCanonical(h io.Writer, f *Func) {
-	var sb strings.Builder
-	sb.WriteString("func {\n")
+	const flushAt = 4 << 10
+	buf := make([]byte, 0, 2*flushAt)
+	buf = append(buf, "func {\n"...)
 	for _, b := range f.Blocks {
-		sb.WriteString("  ")
-		sb.WriteString(b.Name)
-		sb.WriteByte(':')
-		if b.TripCount != 0 {
-			fmt.Fprintf(&sb, " !trip=%d", b.TripCount)
+		buf = appendBlock(buf, f, b)
+		// Flush between blocks to keep the buffer small on large functions.
+		if len(buf) >= flushAt {
+			h.Write(buf)
+			buf = buf[:0]
 		}
-		sb.WriteByte('\n')
-		for _, in := range b.Instrs {
-			sb.WriteString("    ")
-			sb.WriteString(formatInstr(f, b, in))
-			sb.WriteByte('\n')
-		}
-		// Flush per block to keep the builder small on large functions.
-		io.WriteString(h, sb.String())
-		sb.Reset()
 	}
-	sb.WriteString("}\nvregs:")
+	buf = append(buf, "}\nvregs:"...)
 	for _, v := range f.VRegs {
-		sb.WriteByte(' ')
-		sb.WriteString(v.Class.String())
+		buf = append(append(buf, ' '), v.Class.String()...)
 	}
-	fmt.Fprintf(&sb, "\nfpregs=%d spillslots=%d\n", f.NumFPRegs, f.SpillSlots)
-	io.WriteString(h, sb.String())
+	buf = strconv.AppendInt(append(buf, "\nfpregs="...), int64(f.NumFPRegs), 10)
+	buf = strconv.AppendInt(append(buf, " spillslots="...), int64(f.SpillSlots), 10)
+	h.Write(append(buf, '\n'))
 }

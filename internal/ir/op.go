@@ -137,15 +137,20 @@ func (o Op) String() string {
 	return "op?"
 }
 
+// opByName maps each mnemonic of opNames to its opcode.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, len(opNames))
+	for op, n := range opNames {
+		m[n] = Op(op)
+	}
+	return m
+}()
+
 // OpByName resolves a mnemonic to its opcode. The second result is false for
 // unknown mnemonics.
 func OpByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name {
-			return Op(op), true
-		}
-	}
-	return OpNop, false
+	op, ok := opByName[name]
+	return op, ok
 }
 
 // opSig describes the operand signature of an opcode.

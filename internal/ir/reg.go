@@ -11,7 +11,10 @@
 // in the pipeline of the paper's Figure 4.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a register operand. The zero value NoReg means "no register".
 //
@@ -100,15 +103,21 @@ func (r Reg) FPRIndex() int {
 // String renders the register in the textual MIR syntax: %N for virtual
 // registers, xN / fN for physical ones.
 func (r Reg) String() string {
+	var buf [16]byte
+	return string(r.appendText(buf[:0]))
+}
+
+// appendText appends the String form of r to buf.
+func (r Reg) appendText(buf []byte) []byte {
 	switch {
 	case r == NoReg:
-		return "noreg"
+		return append(buf, "noreg"...)
 	case r.IsVirt():
-		return fmt.Sprintf("%%%d", r.VirtIndex())
+		return strconv.AppendInt(append(buf, '%'), int64(r.VirtIndex()), 10)
 	case r.IsGPR():
-		return fmt.Sprintf("x%d", r.GPRIndex())
+		return strconv.AppendInt(append(buf, 'x'), int64(r.GPRIndex()), 10)
 	default:
-		return fmt.Sprintf("f%d", r.FPRIndex())
+		return strconv.AppendInt(append(buf, 'f'), int64(r.FPRIndex()), 10)
 	}
 }
 

@@ -13,6 +13,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -371,7 +372,7 @@ func (r *Router) forward(ctx context.Context, key uint64, path, contentType stri
 }
 
 func (r *Router) send(ctx context.Context, url, contentType string, body []byte) (int, http.Header, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
