@@ -13,9 +13,9 @@
 // experiment, in the paper's layout so measured numbers can sit next to
 // published ones (see EXPERIMENTS.md). The "methods" experiment is the
 // allocator-portfolio comparison: every suite under every method plus the
-// portfolio and auto modes, with per-cell static metrics, simulated cycles,
-// cost scores, racer win attribution and the selector table trained from
-// the race winners — all emitted under "methods" in the -json output.
+// portfolio, with per-cell static metrics, simulated cycles, cost scores
+// and racer win attribution — all emitted under "methods" in the -json
+// output.
 //
 // -parallel N bounds the compile worker pool for the sweeps (0, the
 // default, uses runtime.GOMAXPROCS; 1 forces serial). -cache off disables
@@ -120,8 +120,8 @@ type perfLog struct {
 	// program, per platform sweep that ran.
 	Sweeps map[string]map[string]map[string]experiments.Counts `json:"sweeps,omitempty"`
 	// Methods is the allocator-method comparison (the "methods" experiment):
-	// per (suite, method) static metrics, cycles, cost scores, racer win
-	// attribution and the trained selector table.
+	// per (suite, method) static metrics, cycles, cost scores and racer win
+	// attribution.
 	Methods *experiments.MethodComparison `json:"methods,omitempty"`
 	// ValidateOverhead is the translation validator's relative cost on a
 	// hot kernel (compile wall with Options.Validate over without); the
@@ -220,7 +220,7 @@ func main() {
 	}
 	all := want["all"]
 	run := func(name string) bool { return all || want[name] }
-	perf := &perfLog{Schema: "prescount-bench/4"}
+	perf := &perfLog{Schema: "prescount-bench/5"}
 	if !experiments.DisableCache {
 		// One cache for the whole run: every stage reuses the entries of
 		// the stages before it, and per-stage hit rates are delta-attributed

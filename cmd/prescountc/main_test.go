@@ -119,3 +119,15 @@ func TestBadInputReturnsError(t *testing.T) {
 		t.Fatal("malformed input did not error")
 	}
 }
+
+// TestUnknownMethodReturnsError: a method name that is not a single method
+// or portfolio — including the retired "auto" — fails before compiling.
+func TestUnknownMethodReturnsError(t *testing.T) {
+	for _, m := range []string{"auto", "alchemy"} {
+		var out strings.Builder
+		err := run([]string{"-method", m}, strings.NewReader(kernelA), &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown method") {
+			t.Errorf("-method %s: err = %v, want an unknown-method error", m, err)
+		}
+	}
+}

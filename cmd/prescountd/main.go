@@ -16,10 +16,6 @@
 //	-workers N       per-request module compile fan-out (default GOMAXPROCS)
 //	-max-body N      request body cap in bytes (default 8 MiB)
 //	-drain D         graceful shutdown grace period (default 30s)
-//	-module-tokens N module priors retained for incremental recompiles
-//	                 (default 64; 0 disables prior_token/module_token)
-//	-spec-workers N  background workers precompiling adjacent-bank sweep
-//	                 neighbors in idle admission slots (default 1; 0 disables)
 //	-disk-cache DIR  persistent compile-result store layered under the
 //	                 in-memory cache; survives restarts (empty disables)
 //	-disk-cache-bytes N  on-disk store cap, mtime-LRU swept
@@ -47,15 +43,6 @@ import (
 	"prescount/internal/server"
 )
 
-// moduleTokenCfg maps the flag onto server.Config.ModuleTokens, where 0
-// means "use the default" and negative disables (the flag's 0 disables).
-func moduleTokenCfg(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return n
-}
-
 func main() {
 	addr := flag.String("addr", ":8135", "listen address")
 	inflight := flag.Int("inflight", 0, "max concurrent compiles (0 = GOMAXPROCS)")
@@ -66,8 +53,6 @@ func main() {
 	workers := flag.Int("workers", 0, "module compile fan-out per request (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 8<<20, "request body cap in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown grace period")
-	moduleTokens := flag.Int("module-tokens", 64, "module priors retained for incremental recompiles (0 disables)")
-	specWorkers := flag.Int("spec-workers", 1, "speculative sweep-precompile workers (0 disables)")
 	diskCache := flag.String("disk-cache", "", "directory for the persistent compile-result store (empty disables)")
 	diskCacheBytes := flag.Int64("disk-cache-bytes", 1<<30, "on-disk store byte cap, mtime-LRU swept (0 = unlimited)")
 	flag.Parse()
@@ -80,8 +65,6 @@ func main() {
 		MaxTimeout:     *maxDeadline,
 		CacheMaxBytes:  *cacheBytes,
 		Workers:        *workers,
-		ModuleTokens:   moduleTokenCfg(*moduleTokens),
-		SpecWorkers:    *specWorkers,
 		DiskCacheDir:   *diskCache,
 		DiskCacheBytes: *diskCacheBytes,
 	})

@@ -246,16 +246,6 @@ func (c *Cache) Alloc(k Key, compute func() (any, int64, error)) (any, bool, err
 	return c.do(layerAlloc, k, compute)
 }
 
-// PeekFull reports whether the full layer already holds (or is computing)
-// an entry for k, without counting a lookup or touching LRU recency. The
-// daemon's speculator uses it to skip neighbors that are already warm.
-func (c *Cache) PeekFull(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.full[k]
-	return ok
-}
-
 // layerMap selects the map of one layer.
 // holds: mu
 func (c *Cache) layerMap(l layer) map[Key]*entry {

@@ -48,9 +48,9 @@ const (
 )
 
 // ParseMethod maps a method name ("non", "bcr", "bpc", "brc", "binpack",
-// "coloring") to its Method constant. The portfolio modes ("portfolio",
-// "auto") are not single methods — internal/portfolio handles them above
-// this layer — so they are rejected here.
+// "coloring") to its Method constant. The portfolio mode ("portfolio") is
+// not a single method — internal/portfolio handles it above this layer — so
+// it is rejected here.
 func ParseMethod(s string) (Method, bool) {
 	for _, m := range []Method{MethodNon, MethodBCR, MethodBPC, MethodBRC, MethodBinpack, MethodColoring} {
 		if m.String() == s {
@@ -136,27 +136,6 @@ type Options struct {
 	// Ignored when VerifySemantics is set (verification must actually run).
 	// Cache, Workers and the Verify* fields never enter the cache key.
 	Cache *compilecache.Cache
-	// Prior, when non-nil, enables function-level incremental recompiles in
-	// CompileModule: any function whose ir.Fingerprint appears in the prior
-	// and whose options digest matches Prior.Digest reuses the prior Result
-	// without compiling (results are immutable and shared, with the same
-	// name-rematerialization rule as a cache hit). A digest mismatch
-	// disables the prior entirely. Like Cache it is ignored under
-	// VerifySemantics/VerifyEach/Validate and never enters a cache key.
-	Prior *ModulePrior
-}
-
-// ModulePrior is the reusable outcome of a prior CompileModule run: the
-// options digest the results were compiled under plus the per-function
-// results keyed by input fingerprint. A later CompileModule with a matching
-// digest reuses every entry whose fingerprint still appears in the module —
-// the incremental-recompile contract prescountd's module token exposes over
-// HTTP. The contained Results are shared and must not be mutated.
-type ModulePrior struct {
-	// Digest is Options.FullDigest() of the producing run.
-	Digest uint64
-	// PerFunc maps input-function fingerprints to their compiled results.
-	PerFunc map[ir.Fingerprint]*Result
 }
 
 // Result is the outcome of compiling one function.
@@ -707,14 +686,6 @@ type ModuleResult struct {
 	PerFunc map[string]*Result
 	// Totals sums the conflict reports.
 	Totals conflict.Report
-	// ReusedFuncs counts functions satisfied by Options.Prior without
-	// compiling; CompiledFuncs counts the rest (cache hits included).
-	ReusedFuncs, CompiledFuncs int
-	// Prior is the reuse token for the next recompile of this module under
-	// the same options: pass it as Options.Prior and unchanged functions
-	// skip compilation. Nil when the run could not produce one
-	// (VerifySemantics/VerifyEach runs must re-verify everything).
-	Prior *ModulePrior
 }
 
 // CompileModule compiles every function of m, fanning out over a worker
@@ -736,22 +707,7 @@ func CompileModule(m *ir.Module, opts Options) (*ModuleResult, error) {
 func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*ModuleResult, error) {
 	funcs := m.SortedFuncs()
 	results := make([]*Result, len(funcs))
-	// The prior is consulted only when its digest matches this run's
-	// options exactly; verification runs must actually recompile.
-	verifying := opts.VerifySemantics || opts.VerifyEach || opts.Validate
-	prior := opts.Prior
-	if prior != nil && (verifying || prior.Digest != opts.FullDigest()) {
-		prior = nil
-	}
-	reused := make([]bool, len(funcs))
 	err := pool.Run(ctx, len(funcs), opts.Workers, func(ctx context.Context, i int) error {
-		if prior != nil {
-			if r, ok := prior.PerFunc[funcs[i].Fingerprint()]; ok {
-				results[i] = renamedResult(r, funcs[i].Name)
-				reused[i] = true
-				return nil
-			}
-		}
 		r, err := CompileContext(ctx, funcs[i], opts)
 		if err != nil {
 			return err
@@ -766,18 +722,6 @@ func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*Mod
 	for i, f := range funcs {
 		out.PerFunc[f.Name] = results[i]
 		addReport(&out.Totals, results[i].Report)
-		if reused[i] {
-			out.ReusedFuncs++
-		} else {
-			out.CompiledFuncs++
-		}
-	}
-	if !verifying {
-		next := &ModulePrior{Digest: opts.FullDigest(), PerFunc: make(map[ir.Fingerprint]*Result, len(funcs))}
-		for i, f := range funcs {
-			next.PerFunc[f.Fingerprint()] = results[i]
-		}
-		out.Prior = next
 	}
 	return out, nil
 }

@@ -26,7 +26,7 @@ import (
 //     method ignores them, and hashing them would split identical
 //     compiles into distinct entries).
 //
-// Cache, Workers, Prior, VerifySemantics, VerifyMemSize, VerifyEach and
+// Cache, Workers, VerifySemantics, VerifyMemSize, VerifyEach and
 // Validate never affect the compiled output and are deliberately excluded
 // from all digests (VerifySemantics, VerifyEach and Validate bypass the
 // cache entirely — the verification must actually run; see Compile).

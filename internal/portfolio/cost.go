@@ -1,6 +1,5 @@
 // Package portfolio races multiple register-allocation methods per function
-// and picks the best result under a pluggable cost model, with an optional
-// feature-based selector that predicts the method without racing.
+// and picks the best result under a pluggable cost model.
 //
 // The racer's contract is determinism: whichever order the candidates
 // finish in, the winning method — and therefore the output program — is a

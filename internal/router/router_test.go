@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func postCompile(t *testing.T, url string, req server.CompileRequest) (*http.Res
 // TestRouterAffinity pins fingerprint affinity: every resubmission of one
 // kernel lands on the same backend, and its cache turns them into hits.
 func TestRouterAffinity(t *testing.T) {
-	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	for i := 0; i < 6; i++ {
 		resp, body := postCompile(t, rts.URL, server.CompileRequest{MIR: kernelMIR, Method: "bpc"})
 		if resp.StatusCode != http.StatusOK {
@@ -100,7 +101,7 @@ func TestRouterAffinity(t *testing.T) {
 // TestRouterRenamedKernelSameBackend pins name-blind routing: a renamed
 // copy of a kernel hashes to the same backend and hits its cache.
 func TestRouterRenamedKernelSameBackend(t *testing.T) {
-	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	renamed := strings.Replace(kernelMIR, "@axpy", "@saxpy", 1)
 	for _, mir := range []string{kernelMIR, renamed} {
 		if resp, body := postCompile(t, rts.URL, server.CompileRequest{MIR: mir, Method: "bpc"}); resp.StatusCode != http.StatusOK {
@@ -119,7 +120,7 @@ func TestRouterRenamedKernelSameBackend(t *testing.T) {
 // dying mid-stream must not surface as a 5xx — the router demotes it and
 // retries the ring successor.
 func TestBackendDeathFailover(t *testing.T) {
-	backends, tss, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, tss, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	// Find the kernel's owning backend and kill it.
 	resp, _ := postCompile(t, rts.URL, server.CompileRequest{MIR: kernelMIR, Method: "bpc"})
 	if resp.StatusCode != http.StatusOK {
@@ -166,7 +167,7 @@ func TestBackendDeathFailover(t *testing.T) {
 // the router answers 503 with Retry-After — the load-balancer-friendly
 // "come back later", not an error.
 func TestAllDraining503(t *testing.T) {
-	backends, _, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
+	backends, _, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	for _, b := range backends {
 		b.SetDraining(true)
 	}
@@ -201,7 +202,7 @@ func TestAllDraining503(t *testing.T) {
 // TestRouterBatch pins batch regrouping: entries spread across backends,
 // come back in request order, and duplicates dedup on their shared node.
 func TestRouterBatch(t *testing.T) {
-	_, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2, SpecWorkers: 0})
+	_, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2})
 	kernels := []string{
 		kernelMIR,
 		ir.Print(workload.RandomSized(51, 100)),
@@ -256,7 +257,7 @@ func TestRouterBatch(t *testing.T) {
 // TestRouterBatchSurvivesNodeDeath reroutes a dead node's sub-batch to the
 // survivors inside the same request.
 func TestRouterBatchSurvivesNodeDeath(t *testing.T) {
-	backends, tss, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2, SpecWorkers: 0})
+	backends, tss, _, rts := fleet(t, 3, server.Config{MaxInFlight: 2})
 	// Kill one node before any traffic; the router hasn't probed yet, so
 	// the batch's first round will dial it and must recover in-flight.
 	dead := 1
@@ -289,14 +290,15 @@ func TestRouterBatchSurvivesNodeDeath(t *testing.T) {
 	}
 }
 
-// TestRouterModuleTokenAffinity pins that module compiles route by module
-// content, so a prior_token minted by a node comes back to that node and
-// actually reuses functions.
-func TestRouterModuleTokenAffinity(t *testing.T) {
-	_, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1, SpecWorkers: 0})
-	moduleMIR := "module pair\n" + kernelMIR + strings.Replace(kernelMIR, "@axpy", "@axpy2", 1)
-	post := func(req server.CompileRequest) server.ModuleResponse {
-		body, _ := json.Marshal(req)
+// TestRouterModuleAffinity pins that module compiles route by module
+// content: a resubmitted module lands on the node that compiled it, whose
+// full-layer cache serves every function with the same answer.
+func TestRouterModuleAffinity(t *testing.T) {
+	backends, _, _, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
+	second := strings.Replace(strings.Replace(kernelMIR, "@axpy", "@scale", 1), "fadd", "fmul", 1)
+	moduleMIR := "module pair\n" + kernelMIR + second
+	post := func() server.ModuleResponse {
+		body, _ := json.Marshal(server.CompileRequest{MIR: moduleMIR, Method: "bpc", EmitMIR: true})
 		resp, err := http.Post(rts.URL+"/v1/compile/module", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -311,13 +313,20 @@ func TestRouterModuleTokenAffinity(t *testing.T) {
 		}
 		return mr
 	}
-	first := post(server.CompileRequest{MIR: moduleMIR, Method: "bpc"})
-	if first.ModuleToken == "" {
-		t.Fatal("no module token minted")
+	fullHits := func() (n int64) {
+		for _, b := range backends {
+			n += b.Statz().Cache.FullHits
+		}
+		return n
 	}
-	second := post(server.CompileRequest{MIR: moduleMIR, Method: "bpc", PriorToken: first.ModuleToken})
-	if second.ReusedFuncs == 0 {
-		t.Fatalf("prior token earned no reuse (reused=%d compiled=%d) — token affinity broken",
-			second.ReusedFuncs, second.CompiledFuncs)
+	first := post()
+	hits := fullHits()
+	again := post()
+	if got := fullHits() - hits; got != 2 {
+		t.Errorf("resubmission added %d full-layer hits across the fleet, want 2 (module affinity broken)", got)
+	}
+	first.WallNS, again.WallNS = 0, 0
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("resubmitted module answered differently:\n%+v\nvs\n%+v", again, first)
 	}
 }

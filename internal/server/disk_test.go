@@ -39,7 +39,7 @@ func corruptAllEntries(t *testing.T, dir string) {
 // into disk hits, and the served payloads are identical.
 func TestDiskCacheWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{MaxInFlight: 1, SpecWorkers: 0, DiskCacheDir: dir}
+	cfg := Config{MaxInFlight: 1, DiskCacheDir: dir}
 
 	// First life: compile, then drain (Close flushes the write-behind).
 	s1, ts1 := newTestServer(t, cfg)
@@ -102,7 +102,7 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 // TestStatzDiskSectionAbsentWithoutDir pins that memory-only servers keep
 // the old statz shape (no disk section, zeroed disk counters).
 func TestStatzDiskSectionAbsentWithoutDir(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, SpecWorkers: 0})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1})
 	resp, _ := postJSON(t, ts.URL+"/v1/compile", CompileRequest{MIR: kernelMIR})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -121,7 +121,7 @@ func TestStatzDiskSectionAbsentWithoutDir(t *testing.T) {
 // recompiles, answering 200.
 func TestDiskCacheCorruptEntryServes(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{MaxInFlight: 1, SpecWorkers: 0, DiskCacheDir: dir}
+	cfg := Config{MaxInFlight: 1, DiskCacheDir: dir}
 	s1, ts1 := newTestServer(t, cfg)
 	if resp, _ := postJSON(t, ts1.URL+"/v1/compile", CompileRequest{MIR: kernelMIR}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed compile failed: %d", resp.StatusCode)

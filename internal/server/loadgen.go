@@ -50,15 +50,6 @@ type LoadgenConfig struct {
 	// retrying, modeling a well-behaved caller (default true via
 	// RunLoadgen when not saturating).
 	RetryOn429 bool `json:"retry_on_429"`
-	// Sweep switches the request stream to bank-sweep exploration: the
-	// fleet compiles every corpus kernel at SweepBanks[0], then the whole
-	// corpus again at each subsequent bank count. Each pass's kernels are
-	// the sweep neighbors of the previous pass — the traffic shape the
-	// daemon's speculative precompiler targets.
-	Sweep bool `json:"sweep,omitempty"`
-	// SweepBanks is the bank-count walk of sweep mode (default {4, 8, 2}:
-	// both follow-up passes are adjacent to the seed pass).
-	SweepBanks []int `json:"sweep_banks,omitempty"`
 	// ScrapeEvery samples /statz during the run for the gauge highwater
 	// marks (default 100ms).
 	ScrapeEvery time.Duration `json:"-"`
@@ -175,13 +166,6 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenResult, error) {
 	if cfg.ScrapeEvery <= 0 {
 		cfg.ScrapeEvery = 100 * time.Millisecond
 	}
-	if cfg.Sweep {
-		if len(cfg.SweepBanks) == 0 {
-			cfg.SweepBanks = []int{4, 8, 2}
-		}
-		// One full walk: every kernel at every bank count.
-		cfg.Requests = cfg.Kernels * len(cfg.SweepBanks)
-	}
 	corpus := CorpusSized(cfg.Kernels, cfg.KernelInstrs)
 	client := &http.Client{}
 
@@ -229,15 +213,8 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenResult, error) {
 					return
 				}
 				mir := corpus[int(i)%len(corpus)]
-				banks := 0
-				if cfg.Sweep {
-					// Pass p compiles the whole corpus at SweepBanks[p], so
-					// a kernel's later passes arrive a corpus-width after
-					// the pass that seeded their speculation.
-					banks = cfg.SweepBanks[(int(i)/len(corpus))%len(cfg.SweepBanks)]
-				}
 				for {
-					status, latNS, err := postCompile(client, cfg, mir, banks)
+					status, latNS, err := postCompile(client, cfg, mir)
 					res.countStatus(status, err)
 					if status == http.StatusTooManyRequests && cfg.RetryOn429 {
 						atomic.AddInt64(&res.Retries, 1)
@@ -300,12 +277,10 @@ func (r *LoadgenResult) countStatus(status int, err error) {
 }
 
 // postCompile sends one compile request and returns the HTTP status and
-// the request's wall time. status 0 means the transport failed; banks 0
-// uses the server default.
-func postCompile(client *http.Client, cfg LoadgenConfig, mir string, banks int) (int, int64, error) {
+// the request's wall time. status 0 means the transport failed.
+func postCompile(client *http.Client, cfg LoadgenConfig, mir string) (int, int64, error) {
 	req := CompileRequest{
 		MIR:       mir,
-		Banks:     banks,
 		Method:    cfg.Method,
 		Simulate:  cfg.Simulate,
 		TimeoutMS: cfg.TimeoutMS,

@@ -11,9 +11,9 @@ import (
 	"prescount/internal/workload"
 )
 
-// coreMethods are the six single-allocator methods; the portfolio modes
-// (portfolio, auto) ride on top of them and are exercised separately, so
-// together the corpus covers all 8 methods.
+// coreMethods are the six single-allocator methods; the portfolio rides on
+// top of them and is exercised separately, so together the corpus covers
+// all 7 methods.
 var coreMethods = []core.Method{
 	core.MethodNon, core.MethodBCR, core.MethodBPC, core.MethodBRC,
 	core.MethodBinpack, core.MethodColoring,
@@ -92,21 +92,19 @@ func TestValidateRandomSized(t *testing.T) {
 	}
 }
 
-// TestValidatePortfolioModes runs the two portfolio modes (methods 7 and
-// 8 of the corpus matrix) with validation on: every candidate the racer
-// compiles — winners and losers alike — goes through tv.Check inside
-// core, so a racer can never win with a miscompile.
+// TestValidatePortfolioModes runs the portfolio (method 7 of the corpus
+// matrix) with validation on: every candidate the racer compiles — winners
+// and losers alike — goes through tv.Check inside core, so a racer can
+// never win with a miscompile.
 func TestValidatePortfolioModes(t *testing.T) {
 	f := workload.Random(3)
-	for _, auto := range []bool{false, true} {
-		opts := core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Validate: true}
-		rr, err := portfolio.CompileFunc(context.Background(), f, opts, portfolio.Config{Auto: auto})
-		if err != nil {
-			t.Fatalf("auto=%v: %v", auto, err)
-		}
-		if rr.Result == nil {
-			t.Fatalf("auto=%v: no result", auto)
-		}
+	opts := core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Validate: true}
+	rr, err := portfolio.CompileFunc(context.Background(), f, opts, portfolio.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Result == nil {
+		t.Fatal("no result")
 	}
 }
 
