@@ -172,7 +172,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			var res *prescount.Result
 			methodLine := m.String()
 			if race {
-				rr, err := portfolio.CompileFunc(context.Background(), f, opts, portfolio.Config{})
+				rr, err := portfolio.CompileFunc(context.Background(), f, opts)
 				if err != nil {
 					return err
 				}

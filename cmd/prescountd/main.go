@@ -6,14 +6,15 @@
 //	prescountd [flags]
 //
 //	-addr A          listen address (default :8135)
-//	-inflight N      max concurrently executing compiles (default GOMAXPROCS)
+//	-inflight N      max concurrently executing compiles (default GOMAXPROCS);
+//	                 a request holds one slot and borrows idle ones for the
+//	                 other functions of a module or batch
 //	-queue N         max requests waiting behind them (default 4*inflight);
 //	                 beyond this the daemon answers 429 with Retry-After
 //	-deadline D      default per-request deadline (default 10s)
 //	-max-deadline D  cap on client-requested timeout_ms (default 60s)
 //	-cache-bytes N   compile cache byte cap with LRU eviction
 //	                 (default 256 MiB; 0 = unlimited, the CLI policy)
-//	-workers N       per-request module compile fan-out (default GOMAXPROCS)
 //	-max-body N      request body cap in bytes (default 8 MiB)
 //	-drain D         graceful shutdown grace period (default 30s)
 //	-disk-cache DIR  persistent compile-result store layered under the
@@ -50,7 +51,6 @@ func main() {
 	deadline := flag.Duration("deadline", 10*time.Second, "default per-request deadline")
 	maxDeadline := flag.Duration("max-deadline", 60*time.Second, "cap on client-requested deadlines")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "compile cache byte cap, LRU-evicted (0 = unlimited)")
-	workers := flag.Int("workers", 0, "module compile fan-out per request (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 8<<20, "request body cap in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown grace period")
 	diskCache := flag.String("disk-cache", "", "directory for the persistent compile-result store (empty disables)")
@@ -64,7 +64,6 @@ func main() {
 		DefaultTimeout: *deadline,
 		MaxTimeout:     *maxDeadline,
 		CacheMaxBytes:  *cacheBytes,
-		Workers:        *workers,
 		DiskCacheDir:   *diskCache,
 		DiskCacheBytes: *diskCacheBytes,
 	})

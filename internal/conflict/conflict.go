@@ -39,6 +39,20 @@ type Report struct {
 	Instrs int
 }
 
+// Add accumulates src into r field by field: the module totals of a
+// multi-function compile.
+func (r *Report) Add(src *Report) {
+	r.ConflictRelevant += src.ConflictRelevant
+	r.StaticConflicts += src.StaticConflicts
+	r.ConflictInstrs += src.ConflictInstrs
+	r.WeightedConflicts += src.WeightedConflicts
+	r.SubgroupViolations += src.SubgroupViolations
+	r.Copies += src.Copies
+	r.SpillStores += src.SpillStores
+	r.SpillReloads += src.SpillReloads
+	r.Instrs += src.Instrs
+}
+
 // Analyze scans an allocated (physical-register) function under the given
 // register file.
 func Analyze(f *ir.Func, file bankfile.Config) *Report {

@@ -1,6 +1,7 @@
 package conflict
 
 import (
+	"reflect"
 	"testing"
 
 	"prescount/internal/bankfile"
@@ -170,5 +171,45 @@ func TestVirtualOperandsHaveNoPenalty(t *testing.T) {
 	}
 	if r.ConflictRelevant != 1 {
 		t.Errorf("ConflictRelevant = %d, want 1 (property of the op)", r.ConflictRelevant)
+	}
+}
+
+// TestReportAddSumsEveryField walks Report by reflection, fills
+// every numeric field with a distinct value, and checks Report.Add
+// accumulates each one — so a new Report field can never be silently
+// dropped from module totals.
+func TestReportAddSumsEveryField(t *testing.T) {
+	src := &Report{}
+	sv := reflect.ValueOf(src).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		field := sv.Field(i)
+		switch field.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			field.SetInt(int64(i + 1))
+		case reflect.Float32, reflect.Float64:
+			field.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("Report field %s has kind %s: teach Report.Add and this test about it",
+				sv.Type().Field(i).Name, field.Kind())
+		}
+	}
+
+	var dst Report
+	dst.Add(src)
+	dst.Add(src)
+
+	dv := reflect.ValueOf(&dst).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		name := dv.Type().Field(i).Name
+		switch dv.Field(i).Kind() {
+		case reflect.Float32, reflect.Float64:
+			if got, want := dv.Field(i).Float(), 2*sv.Field(i).Float(); got != want {
+				t.Errorf("Report.Add dropped or mis-summed %s: got %v, want %v", name, got, want)
+			}
+		default:
+			if got, want := dv.Field(i).Int(), 2*sv.Field(i).Int(); got != want {
+				t.Errorf("Report.Add dropped or mis-summed %s: got %v, want %v", name, got, want)
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"prescount/internal/bankfile"
 	"prescount/internal/compilecache"
-	"prescount/internal/ir"
 	"prescount/internal/workload"
 )
 
@@ -23,9 +22,7 @@ func TestCompileContextExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	mod := ir.NewModule("ctx")
-	mod.Add(f)
-	res, err := CompileModuleContext(ctx, mod, Options{File: bankfile.RV2(2), Method: MethodBPC})
+	res, err := CompileContext(ctx, f, Options{File: bankfile.RV2(2), Method: MethodBPC})
 	if res != nil || err == nil {
 		t.Fatalf("expired deadline: got res=%v err=%v, want nil result and error", res, err)
 	}
@@ -36,8 +33,8 @@ func TestCompileContextExpiredDeadline(t *testing.T) {
 		t.Fatalf("expired-deadline compile took %v, want prompt return", d)
 	}
 
-	// The pool must have drained: allow the runtime a few scheduling rounds
-	// to retire exiting goroutines before comparing counts.
+	// Allow the runtime a few scheduling rounds to retire exiting
+	// goroutines before comparing counts.
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {
 			break

@@ -697,17 +697,9 @@ type ModuleResult struct {
 // regardless of completion order. The first failing function wins and
 // cancels the remaining work.
 func CompileModule(m *ir.Module, opts Options) (*ModuleResult, error) {
-	return CompileModuleContext(context.Background(), m, opts)
-}
-
-// CompileModuleContext is CompileModule under a context: cancelling ctx
-// cancels queued functions immediately and in-flight compiles at their next
-// phase boundary, and the first ctx.Err() wins as with any other compile
-// failure.
-func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*ModuleResult, error) {
 	funcs := m.SortedFuncs()
 	results := make([]*Result, len(funcs))
-	err := pool.Run(ctx, len(funcs), opts.Workers, func(ctx context.Context, i int) error {
+	err := pool.Run(context.Background(), len(funcs), opts.Workers, func(ctx context.Context, i int) error {
 		r, err := CompileContext(ctx, funcs[i], opts)
 		if err != nil {
 			return err
@@ -721,21 +713,9 @@ func CompileModuleContext(ctx context.Context, m *ir.Module, opts Options) (*Mod
 	out := &ModuleResult{PerFunc: make(map[string]*Result, len(funcs))}
 	for i, f := range funcs {
 		out.PerFunc[f.Name] = results[i]
-		addReport(&out.Totals, results[i].Report)
+		out.Totals.Add(results[i].Report)
 	}
 	return out, nil
-}
-
-func addReport(dst *conflict.Report, src *conflict.Report) {
-	dst.ConflictRelevant += src.ConflictRelevant
-	dst.StaticConflicts += src.StaticConflicts
-	dst.ConflictInstrs += src.ConflictInstrs
-	dst.WeightedConflicts += src.WeightedConflicts
-	dst.SubgroupViolations += src.SubgroupViolations
-	dst.Copies += src.Copies
-	dst.SpillStores += src.SpillStores
-	dst.SpillReloads += src.SpillReloads
-	dst.Instrs += src.Instrs
 }
 
 // Spills returns the spill instruction count of a report (stores plus

@@ -101,7 +101,7 @@ func compareCell(s *workload.Suite, file bankfile.Config, name string, cache *co
 		r := &results[i]
 		r.wins = map[string]int{}
 		for _, f := range p.Funcs() {
-			rr, err := portfolio.CompileFunc(ctx, f, opts, portfolio.Config{})
+			rr, err := portfolio.CompileFunc(ctx, f, opts)
 			if err != nil {
 				return fmt.Errorf("%s/%s/%s: %w", name, p.Name, f.Name, err)
 			}

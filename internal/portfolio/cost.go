@@ -10,16 +10,14 @@ package portfolio
 import (
 	"fmt"
 
-	"prescount/internal/bankfile"
 	"prescount/internal/core"
-	"prescount/internal/sim"
 )
 
 // Cost scores one compiled result; lower is better. Implementations must be
 // deterministic and safe for concurrent use — the racer scores candidates
 // from pool workers.
 type Cost interface {
-	// Name identifies the model in reports ("static", "cycles").
+	// Name identifies the model in reports ("static").
 	Name() string
 	// Score returns the cost of res. A score of 0 is a perfect result: the
 	// racer short-circuits on it, cancelling every lower-ranked candidate.
@@ -50,34 +48,4 @@ func (c StaticCost) Score(res *core.Result) (float64, error) {
 	return c.Conflicts*float64(r.StaticConflicts) +
 		c.Spills*float64(r.SpillStores+r.SpillReloads) +
 		c.Copies*float64(r.Copies), nil
-}
-
-// CyclesCost scores by simulated execution cycles on the banked machine
-// model — the most faithful signal and the most expensive one: every
-// candidate is run through internal/sim.
-type CyclesCost struct {
-	// File is the register-file geometry to simulate under (the compile's
-	// File in practice).
-	File bankfile.Config
-	// MemSize is the simulated memory size (sim's default when 0).
-	MemSize int
-	// VLIW enables the VLIW issue model.
-	VLIW bool
-}
-
-func (c CyclesCost) Name() string { return "cycles" }
-
-func (c CyclesCost) Score(res *core.Result) (float64, error) {
-	if res.Func == nil {
-		return 0, fmt.Errorf("portfolio: cycles cost needs the compiled function")
-	}
-	memSize := c.MemSize
-	if memSize == 0 {
-		memSize = 1 << 16
-	}
-	sr, err := sim.Run(res.Func, sim.Options{File: c.File, MemSize: memSize, VLIW: c.VLIW})
-	if err != nil {
-		return 0, fmt.Errorf("portfolio: simulating %s: %w", res.Func.Name, err)
-	}
-	return float64(sr.Cycles), nil
 }

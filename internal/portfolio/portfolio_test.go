@@ -143,53 +143,6 @@ func TestRaceCancellation(t *testing.T) {
 	}
 }
 
-func TestRaceCyclesCost(t *testing.T) {
-	f := corpusFuncs(t, 1)[0]
-	rr, err := Race(context.Background(), f, baseOpts(),
-		DefaultMethods(), CyclesCost{File: bankfile.RV2(2), MemSize: 1 << 16}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Result == nil || rr.Result.Func == nil {
-		t.Fatal("no result under the cycles cost model")
-	}
-}
-
-func TestCompileModulePortfolio(t *testing.T) {
-	m := ir.NewModule("mod")
-	for _, f := range corpusFuncs(t, 1)[:6] {
-		m.Add(f)
-	}
-	var first *ModuleResult
-	for _, workers := range []int{1, 4} {
-		opts := baseOpts()
-		opts.Workers = workers
-		mr, err := CompileModule(context.Background(), m, opts, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wins := 0
-		for _, n := range mr.Wins {
-			wins += n
-		}
-		if wins != len(mr.PerFunc) {
-			t.Errorf("wins %d != functions %d", wins, len(mr.PerFunc))
-		}
-		if first == nil {
-			first = mr
-			continue
-		}
-		if mr.Totals != first.Totals {
-			t.Errorf("workers=%d: totals differ from serial run", workers)
-		}
-		for name, r := range mr.PerFunc {
-			if r.Winner != first.PerFunc[name].Winner {
-				t.Errorf("workers=%d: %s winner %v != %v", workers, name, r.Winner, first.PerFunc[name].Winner)
-			}
-		}
-	}
-}
-
 func TestCorpusVerifierCleanUnderNewMethods(t *testing.T) {
 	// Satellite: every corpus function compiles verifier-clean (V001-V040)
 	// and semantics-preserving under each new allocator.

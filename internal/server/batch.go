@@ -4,19 +4,16 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"prescount/internal/core"
 	"prescount/internal/ir"
-	"prescount/internal/sim"
 )
 
 // POST /v1/compile/batch compiles many independent kernels in one request.
 // The batch is the fleet's amortization unit: identical (fingerprint,
 // options) entries are compiled once and fanned back to every duplicate,
-// and the unique remainder shares the server's admission-controlled worker
-// slots instead of racing through the queue as separate requests.
+// and the unique remainder runs as one job each behind a single admission,
+// instead of racing through the queue as separate requests.
 
 // BatchRequest is the /v1/compile/batch envelope. Each entry is an
 // independent single-function CompileRequest; per-entry TimeoutMS is
@@ -59,133 +56,104 @@ type batchKey struct {
 	validate bool
 }
 
-// batchUnit is one unique compile and the entry indices it serves.
-type batchUnit struct {
-	f       *ir.Func
-	opts    core.Options
-	req     CompileRequest
-	indices []int
-
-	res *core.Result
-	sim *SimJSON
-	err *errorResponse
-}
-
 // maxBatchEntries bounds one batch request; bigger batches should be split
 // by the client (or the router, which regroups per backend anyway).
 const maxBatchEntries = 1024
 
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
-	total := time.Now()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, CodeBadRequest, "POST only")
+	start := time.Now()
+	if !s.postOnly(w, r) {
 		return
 	}
 	s.metrics.total.Add(1)
 	s.metrics.batchRequests.Add(1)
 
-	req, status, err := decodeBatchRequest(w, r, s.cfg.MaxBody)
+	req, code, err := decodeBatchRequest(w, r, s.cfg.MaxBody)
 	if err != nil {
-		code := CodeBadRequest
-		if status == http.StatusRequestEntityTooLarge {
-			code = CodeTooLarge
-		}
-		s.fail(w, status, code, err.Error())
+		s.fail(w, code, err.Error())
 		return
 	}
 	if len(req.Entries) == 0 {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, "empty batch")
+		s.fail(w, CodeBadRequest, "empty batch")
 		return
 	}
 	if len(req.Entries) > maxBatchEntries {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest,
+		s.fail(w, CodeBadRequest,
 			fmt.Sprintf("%d entries; max %d per batch", len(req.Entries), maxBatchEntries))
 		return
 	}
 	s.metrics.batchEntries.Add(int64(len(req.Entries)))
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-
-	// Resolve each entry to its options and parsed function, then collapse
-	// identical compiles. Entries that fail to parse or validate get their
-	// error recorded now and never occupy a worker.
+	// Resolve each entry to its job, collapsing identical compiles onto the
+	// first. An entry that fails to parse or validate gets its error now and
+	// never occupies a slot.
 	results := make([]BatchEntryResult, len(req.Entries))
 	names := make([]string, len(req.Entries))
-	units := map[batchKey]*batchUnit{}
-	var order []*batchUnit
+	entryJobs := make([]*job, len(req.Entries))
+	byKey := map[batchKey]*job{}
+	var jobs []*job
+	deduped := 0
 	for i := range req.Entries {
 		e := &req.Entries[i]
-		opts, f, entryErr := s.resolveBatchEntry(e)
-		if entryErr != nil {
-			results[i] = BatchEntryResult{Error: entryErr}
+		_, fjobs, errResp := s.prepare(e, true)
+		if errResp == nil && len(fjobs) != 1 {
+			errResp = &errorResponse{
+				Error: fmt.Sprintf("%d functions in batch entry; each entry is one kernel", len(fjobs)),
+				Code:  CodeBadRequest,
+			}
+		}
+		if errResp != nil {
+			results[i].Error = errResp
 			continue
 		}
-		names[i] = f.Name
+		j := fjobs[0]
+		names[i] = j.f.Name
 		k := batchKey{
-			fp:       f.Fingerprint(),
-			digest:   opts.FullDigest(),
+			fp:       j.f.Fingerprint(),
+			digest:   j.opts.FullDigest(),
 			simulate: e.Simulate,
 			vliw:     e.VLIW,
 			emitMIR:  e.EmitMIR,
 			verify:   e.Verify,
 			validate: e.Validate,
 		}
-		if u, ok := units[k]; ok {
-			u.indices = append(u.indices, i)
+		if first, ok := byKey[k]; ok {
+			entryJobs[i] = first
+			deduped++
 			continue
 		}
-		u := &batchUnit{f: f, opts: opts, req: *e, indices: []int{i}}
-		units[k] = u
-		order = append(order, u)
-	}
-	deduped := 0
-	for _, u := range order {
-		deduped += len(u.indices) - 1
+		byKey[k] = j
+		entryJobs[i] = j
+		jobs = append(jobs, j)
 	}
 	s.metrics.batchDeduped.Add(int64(deduped))
 
-	// Fan the unique compiles over the admission slots. Workers block for a
-	// slot under the batch deadline rather than going through admit(): a
-	// batch never 429s per entry — entries the deadline kills answer 504 in
-	// place, the rest still return their results.
-	workers := s.cfg.MaxInFlight
-	if workers > len(order) {
-		workers = len(order)
+	// The batch is admitted like any request: a full queue answers 429 for
+	// the whole batch, never for one entry. Entries the deadline kills
+	// answer CodeDeadline in place; the rest still return their results.
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
+	defer cancel()
+	if !s.admit(w, ctx) {
+		return
 	}
-	next := make(chan *batchUnit)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range next {
-				s.compileBatchUnit(ctx, u)
-			}
-		}()
-	}
-	for _, u := range order {
-		next <- u
-	}
-	close(next)
-	wg.Wait()
+	s.runJobs(ctx, jobs)
 
 	ok := 0
-	for _, u := range order {
-		for _, i := range u.indices {
-			results[i] = s.batchEntryResponse(u, req.Entries[i], names[i])
-			if results[i].OK != nil {
-				ok++
-			}
+	for i, j := range entryJobs {
+		switch {
+		case j == nil: // failed before compile
+		case j.err != nil:
+			results[i].Error = j.err
+		default:
+			fr := j.response(names[i], req.Entries[i].EmitMIR)
+			results[i].OK = &fr
+			ok++
 		}
 	}
 	if ok > 0 {
 		s.metrics.ok.Add(1)
-	} else {
-		s.metrics.compileErrors.Add(1)
 	}
-	wall := time.Since(total)
+	wall := time.Since(start)
 	s.metrics.phase("total").observe(wall)
 	s.respond(w, http.StatusOK, BatchResponse{
 		Results: results,
@@ -194,111 +162,12 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resolveBatchEntry parses and validates one entry without compiling.
-func (s *Server) resolveBatchEntry(e *CompileRequest) (core.Options, *ir.Func, *errorResponse) {
-	opts, race, err := s.compileOptions(e)
-	if err != nil {
-		return core.Options{}, nil, &errorResponse{Error: err.Error(), Code: CodeBadRequest}
-	}
-	if race {
-		// Batch dedup keys entries by a single method's digest; racing has
-		// none. Portfolio requests belong on the compile endpoints.
-		return core.Options{}, nil, &errorResponse{
-			Error: fmt.Sprintf("method %q is not valid in batch entries; use /v1/compile", e.Method),
-			Code:  CodeBadRequest,
-		}
-	}
-	s.metrics.countMethod(methodLabel(e.Method))
-	mod, err := parseSource(e.MIR)
-	if err != nil {
-		s.metrics.parseErrors.Add(1)
-		return core.Options{}, nil, &errorResponse{Error: err.Error(), Code: CodeParse}
-	}
-	if len(mod.Funcs) != 1 {
-		return core.Options{}, nil, &errorResponse{
-			Error: fmt.Sprintf("%d functions in batch entry; each entry is one kernel", len(mod.Funcs)),
-			Code:  CodeBadRequest,
-		}
-	}
-	return opts, mod.SortedFuncs()[0], nil
-}
-
-// compileBatchUnit runs one unique compile (and optional simulation) inside
-// an admission slot.
-func (s *Server) compileBatchUnit(ctx context.Context, u *batchUnit) {
-	select {
-	case s.slots <- struct{}{}:
-	case <-ctx.Done():
-		s.metrics.deadlines.Add(1)
-		u.err = &errorResponse{Error: "batch deadline expired before compile", Code: CodeDeadline}
-		return
-	}
-	defer func() { <-s.slots }()
-
-	start := time.Now()
-	res, err := core.CompileContext(ctx, u.f, u.opts)
-	s.metrics.phase("compile").observe(time.Since(start))
-	if err != nil {
-		if isDeadline(err) {
-			s.metrics.deadlines.Add(1)
-			u.err = &errorResponse{Error: err.Error(), Code: CodeDeadline}
-			return
-		}
-		s.metrics.compileErrors.Add(1)
-		u.err = &errorResponse{Error: err.Error(), Code: CodeCompile}
-		return
-	}
-	u.res = res
-	if u.req.Simulate {
-		simStart := time.Now()
-		sr, serr := sim.Run(res.Func, sim.Options{File: u.opts.File, VLIW: u.req.VLIW})
-		s.metrics.phase("simulate").observe(time.Since(simStart))
-		if serr != nil {
-			s.metrics.compileErrors.Add(1)
-			u.res = nil
-			u.err = &errorResponse{Error: serr.Error(), Code: CodeSimulate}
-			return
-		}
-		u.sim = &SimJSON{
-			Steps:             sr.Steps,
-			Cycles:            sr.Cycles,
-			DynamicConflicts:  sr.DynamicConflicts,
-			ConflictInstances: sr.ConflictInstances,
-			MemChecksum:       fmt.Sprintf("%016x", sr.MemChecksum),
-		}
-	}
-}
-
-// batchEntryResponse renders one entry's view of its (possibly shared)
-// unit. Duplicates may carry different symbol names for the same
-// fingerprint; the emitted MIR is rematerialized under the entry's name.
-func (s *Server) batchEntryResponse(u *batchUnit, e CompileRequest, name string) BatchEntryResult {
-	if u.err != nil {
-		return BatchEntryResult{Error: u.err}
-	}
-	fr := &FuncResponse{
-		Func:   name,
-		Report: reportJSON(u.res.Report),
-		Alloc:  allocJSON(u.res.Alloc),
-		Sim:    u.sim,
-	}
-	if e.EmitMIR {
-		fn := u.res.Func
-		if fn.Name != name {
-			fn = fn.Clone()
-			fn.Name = name
-		}
-		fr.MIR = ir.Print(fn)
-	}
-	return BatchEntryResult{OK: fr}
-}
-
 // decodeBatchRequest reads the JSON batch envelope under the body cap, as
 // strictly as decodeRequest reads a compile envelope.
-func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*BatchRequest, int, error) {
+func decodeBatchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*BatchRequest, string, error) {
 	req := &BatchRequest{}
-	if status, err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBody), r, maxBody, req); err != nil {
-		return nil, status, err
+	if code, err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBody), r, maxBody, req); err != nil {
+		return nil, code, err
 	}
-	return req, 0, nil
+	return req, "", nil
 }

@@ -4,7 +4,8 @@
 // internal/core pipeline behind
 //
 //	POST /v1/compile          one function (bare or single-function module)
-//	POST /v1/compile/module   a whole module, fanned out over internal/pool
+//	POST /v1/compile/module   a whole module, one job per function
+//	POST /v1/compile/batch    many independent kernels, one job per unique one
 //	GET  /healthz             liveness (503 while draining)
 //	GET  /statz               cache hit rates, gauges, latency histograms
 //
@@ -13,7 +14,9 @@
 //
 //   - Admission control: at most MaxInFlight compiles run concurrently and
 //     at most MaxQueue requests wait behind them; beyond that the server
-//     answers 429 with Retry-After instead of queueing without bound.
+//     answers 429 with Retry-After instead of queueing without bound. Every
+//     endpoint decodes and parses first, then admits, then runs one job per
+//     function (job.go) and releases its slots before encoding the answer.
 //   - Per-request deadlines: every request carries a context that expires
 //     after its deadline (client-shortenable via timeout_ms), threaded into
 //     core.CompileContext so a dead client stops burning CPU at the next
@@ -46,7 +49,6 @@ import (
 	"prescount/internal/ir"
 	"prescount/internal/portfolio"
 	"prescount/internal/regalloc"
-	"prescount/internal/sim"
 )
 
 // Config tunes the daemon. The zero value is usable: Normalize fills every
@@ -68,9 +70,6 @@ type Config struct {
 	// CacheMaxBytes caps the shared compile cache; <= 0 means unlimited
 	// (the CLI policy — a daemon should set a cap).
 	CacheMaxBytes int64
-	// Workers bounds the per-request module fan-out (core.Options.Workers;
-	// default 0 = GOMAXPROCS).
-	Workers int
 	// DiskCacheDir, when non-empty, layers a persistent on-disk result
 	// store under the in-memory compile cache: full-layer misses consult
 	// the directory before compiling, and fresh results are written behind.
@@ -112,8 +111,8 @@ type Server struct {
 	// disk is the persistent second cache level; nil when not configured.
 	disk *diskcache.Store
 
-	// slots is the in-flight semaphore: a request holds one token for the
-	// duration of its compile.
+	// slots is the in-flight semaphore: a request holds the token admit
+	// granted, plus any it found idle, while its jobs run.
 	slots chan struct{}
 	// queued counts requests waiting for a token; bounded by MaxQueue.
 	queued atomic.Int64
@@ -191,6 +190,18 @@ const (
 	CodeDeadline   = "deadline"    // 504: request deadline expired
 	CodeTooLarge   = "too_large"   // 413: body over MaxBody
 )
+
+// statusOf maps each error code to the HTTP status the compile endpoints
+// answer it with. A batch entry keeps its code inside the batch's 200.
+var statusOf = map[string]int{
+	CodeBadRequest: http.StatusBadRequest,
+	CodeParse:      http.StatusBadRequest,
+	CodeCompile:    http.StatusUnprocessableEntity,
+	CodeSimulate:   http.StatusUnprocessableEntity,
+	CodeSaturated:  http.StatusTooManyRequests,
+	CodeDeadline:   http.StatusGatewayTimeout,
+	CodeTooLarge:   http.StatusRequestEntityTooLarge,
+}
 
 // errorResponse is the JSON error envelope.
 type errorResponse struct {
@@ -357,148 +368,99 @@ func (s *Server) serveStatz(w http.ResponseWriter, r *http.Request) {
 // serveCompile is the shared handler of both compile endpoints; module
 // selects the whole-module variant.
 func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module bool) {
-	total := time.Now()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, CodeBadRequest, "POST only")
+	start := time.Now()
+	if !s.postOnly(w, r) {
 		return
 	}
 	s.metrics.total.Add(1)
 
-	req, status, err := s.decodeRequest(w, r)
+	req, code, err := s.decodeRequest(w, r)
 	if err != nil {
-		code := CodeBadRequest
-		if status == http.StatusRequestEntityTooLarge {
-			code = CodeTooLarge
-		}
-		s.fail(w, status, code, err.Error())
+		s.fail(w, code, err.Error())
 		return
 	}
-	opts, race, err := s.compileOptions(req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	mod, jobs, e := s.prepare(req, false)
+	if e == nil && !module && len(jobs) > 1 {
+		e = &errorResponse{Error: fmt.Sprintf("%d functions in request; use /v1/compile/module", len(jobs)), Code: CodeBadRequest}
+	}
+	if e != nil {
+		s.fail(w, e.Code, e.Error)
 		return
 	}
-	s.metrics.countMethod(methodLabel(req.Method))
 
 	// The request deadline covers queueing AND compiling: a request that
 	// spent its whole budget waiting for a slot answers 504 immediately
 	// rather than starting a compile nobody is waiting for.
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
-
-	if ok := s.admit(w, ctx); !ok {
+	if !s.admit(w, ctx) {
 		return
 	}
-	defer func() { <-s.slots }()
+	s.runJobs(ctx, jobs)
 
-	// Parse phase.
-	parseStart := time.Now()
-	mod, err := parseSource(req.MIR)
-	s.metrics.phase("parse").observe(time.Since(parseStart))
-	if err != nil {
-		s.metrics.parseErrors.Add(1)
-		s.fail(w, http.StatusBadRequest, CodeParse, err.Error())
-		return
-	}
-	if !module && len(mod.Funcs) > 1 {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("%d functions in request; use /v1/compile/module", len(mod.Funcs)))
-		return
-	}
-
-	// Compile phase. Portfolio requests route through internal/portfolio
-	// (every candidate shares this server's cache, so the method-independent
-	// prefix compiles once per function); single methods take the core path
-	// with its full-result cache.
-	compileStart := time.Now()
-	var mres *core.ModuleResult
-	var pres *portfolio.ModuleResult
-	if race {
-		pres, err = portfolio.CompileModule(ctx, mod, opts, portfolio.Config{})
-	} else {
-		mres, err = core.CompileModuleContext(ctx, mod, opts)
-	}
-	s.metrics.phase("compile").observe(time.Since(compileStart))
-	if err != nil {
-		if isDeadline(err) {
-			s.metrics.deadlines.Add(1)
-			s.fail(w, http.StatusGatewayTimeout, CodeDeadline, err.Error())
+	// Every function has run; a module answers its first failure in name
+	// order, whatever order the failures happened in.
+	funcs := make([]FuncResponse, len(jobs))
+	var totals conflict.Report
+	for i, j := range jobs {
+		if j.err != nil {
+			s.fail(w, j.err.Code, j.err.Error)
 			return
 		}
-		s.metrics.compileErrors.Add(1)
-		s.fail(w, http.StatusUnprocessableEntity, CodeCompile, err.Error())
-		return
+		funcs[i] = j.response(j.f.Name, req.EmitMIR)
+		totals.Add(j.res.Report)
 	}
-	if pres != nil {
-		s.metrics.countRaceWins(pres.Wins)
-	}
-
-	// Optional simulate phase.
-	funcs := make([]FuncResponse, 0, len(mod.Funcs))
-	for _, f := range mod.SortedFuncs() {
-		var res *core.Result
-		fr := FuncResponse{Func: f.Name}
-		if pres != nil {
-			rr := pres.PerFunc[f.Name]
-			res = rr.Result
-			fr.Method = rr.Winner.String()
-		} else {
-			res = mres.PerFunc[f.Name]
-		}
-		fr.Report = reportJSON(res.Report)
-		fr.Alloc = allocJSON(res.Alloc)
-		if req.EmitMIR {
-			fr.MIR = ir.Print(res.Func)
-		}
-		if req.Simulate {
-			simStart := time.Now()
-			sr, serr := sim.Run(res.Func, sim.Options{File: opts.File, VLIW: req.VLIW})
-			s.metrics.phase("simulate").observe(time.Since(simStart))
-			if serr != nil {
-				s.metrics.compileErrors.Add(1)
-				s.fail(w, http.StatusUnprocessableEntity, CodeSimulate, serr.Error())
-				return
-			}
-			fr.Sim = &SimJSON{
-				Steps:             sr.Steps,
-				Cycles:            sr.Cycles,
-				DynamicConflicts:  sr.DynamicConflicts,
-				ConflictInstances: sr.ConflictInstances,
-				MemChecksum:       fmt.Sprintf("%016x", sr.MemChecksum),
-			}
-		}
-		funcs = append(funcs, fr)
-	}
-
 	s.metrics.ok.Add(1)
-	wall := time.Since(total)
+	wall := time.Since(start)
 	s.metrics.phase("total").observe(wall)
 	if module {
-		resp := ModuleResponse{
+		s.respond(w, http.StatusOK, ModuleResponse{
 			Module: mod.Name,
 			Funcs:  funcs,
+			Totals: reportJSON(&totals),
 			WallNS: wall.Nanoseconds(),
-		}
-		if pres != nil {
-			resp.Totals = reportJSON(&pres.Totals)
-		} else {
-			resp.Totals = reportJSON(&mres.Totals)
-		}
-		s.respond(w, http.StatusOK, resp)
+		})
 		return
 	}
 	s.respond(w, http.StatusOK, CompileResponse{FuncResponse: funcs[0], WallNS: wall.Nanoseconds()})
 }
 
-// admit acquires an in-flight slot, waiting in the bounded queue. It
-// answers 429 (queue full) or 504 (deadline expired while queued) itself
-// and returns false; on true the caller must release the slot.
+// prepare is the part of every endpoint's flow that runs before admission
+// for one request envelope: its options, its parse, and one job per
+// function in name order. inBatch rejects portfolio, which batch dedup
+// cannot key. An error comes back as the envelope to answer.
+func (s *Server) prepare(req *CompileRequest, inBatch bool) (*ir.Module, []*job, *errorResponse) {
+	opts, race, err := s.compileOptions(req)
+	if err == nil && race && inBatch {
+		err = fmt.Errorf("method %q is not valid in batch entries; use /v1/compile", req.Method)
+	}
+	if err != nil {
+		return nil, nil, &errorResponse{Error: err.Error(), Code: CodeBadRequest}
+	}
+	s.metrics.countMethod(methodLabel(req.Method))
+
+	parseStart := time.Now()
+	mod, err := parseSource(req.MIR)
+	s.metrics.phase("parse").observe(time.Since(parseStart))
+	if err != nil {
+		s.metrics.parseErrors.Add(1)
+		return nil, nil, &errorResponse{Error: err.Error(), Code: CodeParse}
+	}
+	funcs := mod.SortedFuncs()
+	jobs := make([]*job, len(funcs))
+	for i, f := range funcs {
+		jobs[i] = &job{f: f, opts: opts, race: race, simulate: req.Simulate, vliw: req.VLIW}
+	}
+	return mod, jobs, nil
+}
+
+// admit acquires an in-flight slot, waiting in the bounded queue; it is
+// the only place that waits for one. It answers 429 (queue full) or 504
+// (deadline expired while queued) itself and returns false; on true the
+// caller must release the slot (runJobs does).
 func (s *Server) admit(w http.ResponseWriter, ctx context.Context) bool {
-	select {
-	case s.slots <- struct{}{}:
+	if s.takeIdle() {
 		return true
-	default:
 	}
 	if q := s.queued.Add(1); q > int64(s.cfg.MaxQueue) {
 		s.queued.Add(-1)
@@ -506,7 +468,7 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context) bool {
 		// Retry-After names the default deadline as a conservative "the
 		// queue ahead of you is full" hint.
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.DefaultTimeout/time.Second)+1))
-		s.fail(w, http.StatusTooManyRequests, CodeSaturated,
+		s.fail(w, CodeSaturated,
 			fmt.Sprintf("%d in flight and %d queued; retry later", s.cfg.MaxInFlight, s.cfg.MaxQueue))
 		return false
 	}
@@ -516,7 +478,17 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context) bool {
 		return true
 	case <-ctx.Done():
 		s.metrics.deadlines.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, CodeDeadline, "deadline expired while queued")
+		s.fail(w, CodeDeadline, "deadline expired while queued")
+		return false
+	}
+}
+
+// takeIdle takes a slot if one is free at this moment, without waiting.
+func (s *Server) takeIdle() bool {
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	default:
 		return false
 	}
 }
@@ -525,37 +497,37 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context) bool {
 // with query-parameter options. Both are strict: an unknown JSON field or
 // query parameter answers 400 naming it, so a misspelt or removed option
 // never silently compiles under the defaults.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*CompileRequest, int, error) {
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*CompileRequest, string, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	req := &CompileRequest{}
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		if status, err := decodeJSON(body, r, s.cfg.MaxBody, req); err != nil {
-			return nil, status, err
+		if code, err := decodeJSON(body, r, s.cfg.MaxBody, req); err != nil {
+			return nil, code, err
 		}
 	} else {
 		src, err := io.ReadAll(body)
 		if err != nil {
-			status, err := bodyError(err, s.cfg.MaxBody, "reading body")
-			return nil, status, err
+			code, err := bodyError(err, s.cfg.MaxBody, "reading body")
+			return nil, code, err
 		}
 		req.MIR = string(src)
 		if err := optionsFromQuery(req, r.URL.Query()); err != nil {
-			return nil, http.StatusBadRequest, err
+			return nil, CodeBadRequest, err
 		}
 	}
 	if strings.TrimSpace(req.MIR) == "" {
-		return nil, http.StatusBadRequest, errors.New("empty MIR source")
+		return nil, CodeBadRequest, errors.New("empty MIR source")
 	}
-	return req, 0, nil
+	return req, "", nil
 }
 
 // decodeJSON decodes one JSON envelope from the capped body into v,
 // streaming it rather than reading the body first. It rejects query
 // parameters (a JSON envelope carries every option in its body), unknown
 // fields and anything after the object.
-func decodeJSON(body io.Reader, r *http.Request, maxBody int64, v any) (int, error) {
+func decodeJSON(body io.Reader, r *http.Request, maxBody int64, v any) (string, error) {
 	if q := r.URL.Query(); len(q) > 0 {
-		return http.StatusBadRequest, fmt.Errorf("unknown query parameter %q (JSON requests carry options in the body)", sortedParams(q)[0])
+		return CodeBadRequest, fmt.Errorf("unknown query parameter %q (JSON requests carry options in the body)", sortedParams(q)[0])
 	}
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -568,17 +540,18 @@ func decodeJSON(body io.Reader, r *http.Request, maxBody int64, v any) (int, err
 		}
 		return bodyError(err, maxBody, "request JSON")
 	}
-	return 0, nil
+	return "", nil
 }
 
-// bodyError classifies an error met while reading a request body: 413 when
-// the body ran past the cap, otherwise 400 with the error under prefix.
-func bodyError(err error, maxBody int64, prefix string) (int, error) {
+// bodyError classifies an error met while reading a request body:
+// CodeTooLarge when the body ran past the cap, otherwise CodeBadRequest
+// with the error under prefix.
+func bodyError(err error, maxBody int64, prefix string) (string, error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBody)
+		return CodeTooLarge, fmt.Errorf("body exceeds %d bytes", maxBody)
 	}
-	return http.StatusBadRequest, fmt.Errorf("%s: %w", prefix, err)
+	return CodeBadRequest, fmt.Errorf("%s: %w", prefix, err)
 }
 
 // queryFields maps every query parameter of the raw-MIR envelope
@@ -671,10 +644,9 @@ func methodLabel(m string) string {
 }
 
 // compileOptions maps the request envelope onto core.Options, wiring in
-// the shared cache and the worker bound. The second return reports a
-// portfolio request: portfolio is not a core method — serveCompile routes
-// it through internal/portfolio, with the returned options as the
-// per-candidate base.
+// the shared cache. The second return reports a portfolio request:
+// portfolio is not a core method — job.run routes it through
+// internal/portfolio, with the returned options as the per-candidate base.
 func (s *Server) compileOptions(req *CompileRequest) (core.Options, bool, error) {
 	method, race := core.MethodBPC, false
 	if req.Method != "" {
@@ -712,7 +684,6 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, bool, error)
 		ColoringTimeout: time.Duration(req.ColoringTimeoutMS) * time.Millisecond,
 		VerifyEach:      req.Verify,
 		Validate:        req.Validate,
-		Workers:         s.cfg.Workers,
 		Cache:           s.cache,
 	}, race, nil
 }
@@ -738,8 +709,20 @@ func isDeadline(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-func (s *Server) fail(w http.ResponseWriter, status int, code, msg string) {
-	s.respond(w, status, errorResponse{Error: msg, Code: code})
+// fail answers the error envelope under the status statusOf gives code.
+func (s *Server) fail(w http.ResponseWriter, code, msg string) {
+	s.respond(w, statusOf[code], errorResponse{Error: msg, Code: code})
+}
+
+// postOnly answers 405 to anything but a POST and reports whether r may
+// proceed.
+func (s *Server) postOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodPost {
+		return true
+	}
+	w.Header().Set("Allow", http.MethodPost)
+	s.respond(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Code: CodeBadRequest})
+	return false
 }
 
 func (s *Server) respond(w http.ResponseWriter, status int, body any) {

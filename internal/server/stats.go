@@ -130,12 +130,10 @@ func (m *metrics) countMethod(name string) {
 	m.methodMu.Unlock()
 }
 
-// countRaceWins folds one portfolio module result into the win counters.
-func (m *metrics) countRaceWins(wins map[string]int) {
+// countWin records one portfolio race won by method.
+func (m *metrics) countWin(method string) {
 	m.methodMu.Lock()
-	for name, n := range wins {
-		m.racerWins[name] += int64(n)
-	}
+	m.racerWins[method]++
 	m.methodMu.Unlock()
 }
 

@@ -99,7 +99,7 @@ func TestValidateRandomSized(t *testing.T) {
 func TestValidatePortfolioModes(t *testing.T) {
 	f := workload.Random(3)
 	opts := core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Validate: true}
-	rr, err := portfolio.CompileFunc(context.Background(), f, opts, portfolio.Config{})
+	rr, err := portfolio.CompileFunc(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
