@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
+
+	"prescount/internal/server"
 )
 
 // proxyBatch regroups a batch per backend and fans the sub-batches out in
@@ -15,30 +17,32 @@ import (
 // them fleet-wide. Failed sub-batches (node death, saturation) re-resolve
 // their entries against the surviving ring in bounded retry rounds; entries
 // that exhaust the rounds fail individually — the batch itself never 5xxs.
+// An entry whose last round was answered 429 fails as saturated, one that
+// found no backend as no_backend.
 func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		failJSON(w, http.StatusMethodNotAllowed, "bad_request", "POST only")
+		failJSON(w, http.StatusMethodNotAllowed, server.CodeBadRequest, "POST only")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBody))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			failJSON(w, http.StatusRequestEntityTooLarge, "too_large",
+			failJSON(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", r.cfg.MaxBody))
 			return
 		}
-		failJSON(w, http.StatusBadRequest, "bad_request", err.Error())
+		failJSON(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 		return
 	}
 	var batch routedBatchRequest
 	if err := json.Unmarshal(body, &batch); err != nil {
-		failJSON(w, http.StatusBadRequest, "bad_request", "request JSON: "+err.Error())
+		failJSON(w, http.StatusBadRequest, server.CodeBadRequest, "request JSON: "+err.Error())
 		return
 	}
 	if len(batch.Entries) == 0 {
-		failJSON(w, http.StatusBadRequest, "bad_request", "empty batch")
+		failJSON(w, http.StatusBadRequest, server.CodeBadRequest, "empty batch")
 		return
 	}
 	r.batchReqs.Add(1)
@@ -47,6 +51,10 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	results := make([]json.RawMessage, len(batch.Entries))
 	deduped := 0
 	var mu sync.Mutex // guards results slots written by sub-batch goroutines
+	// saturated marks the entries whose latest round was answered 429. A
+	// round resets its pending entries before it sends; then only the one
+	// sub-batch goroutine that carries an entry writes its mark.
+	saturated := make([]bool, len(batch.Entries))
 
 	pending := make([]int, len(batch.Entries))
 	for i := range pending {
@@ -63,6 +71,7 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 		groups := map[*backend][]int{}
 		var unroutable []int
 		for _, i := range pending {
+			saturated[i] = false
 			cands := r.candidates(routingKey(batch.Entries[i].MIR))
 			if len(cands) == 0 {
 				unroutable = append(unroutable, i)
@@ -97,6 +106,9 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 					return
 				}
 				if status == http.StatusTooManyRequests {
+					for _, i := range idxs {
+						saturated[i] = true
+					}
 					b.failures.Add(1)
 					retryMu.Lock()
 					retry = append(retry, idxs...)
@@ -131,11 +143,13 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	// Entries that survived every round unserved fail individually.
 	noBackend := json.RawMessage(`{"error":{"error":"no healthy backend","code":"no_backend"}}`)
-	for _, i := range pending {
-		results[i] = noBackend
-	}
+	saturatedErr := json.RawMessage(`{"error":{"error":"every backend tried answered 429; retry later","code":"` + server.CodeSaturated + `"}}`)
 	for i, res := range results {
-		if res == nil {
+		switch {
+		case res != nil:
+		case saturated[i]:
+			results[i] = saturatedErr
+		default:
 			results[i] = noBackend
 		}
 	}
