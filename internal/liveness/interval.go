@@ -144,5 +144,5 @@ func (iv *Interval) String() string {
 }
 
 // Union (union.go) is the interval-tree-backed overlap index occupying one
-// physical register; NaiveUnion (union_naive.go) is its scan-all-members
-// reference implementation.
+// physical register; NaiveUnion (union_naive_test.go) is its
+// scan-all-members reference implementation, compiled into tests only.

@@ -22,8 +22,9 @@ import (
 // the probe, O(log n + k). Treap priorities are a hash of the insertion id,
 // so the tree shape — and with it every traversal — is a pure function of
 // the operation sequence: identical runs produce identical results.
-// NaiveUnion (union_naive.go) keeps the original scan-all-members
-// implementation as the differential-testing reference.
+// NaiveUnion (union_naive_test.go) keeps the original scan-all-members
+// implementation as the differential-testing reference; it is compiled
+// into tests only.
 //
 // A member interval must not be mutated while it is in the union (the tree
 // indexes its segments); the allocator only inserts settled intervals.

@@ -8,8 +8,9 @@
 // committing a segment costs O(log n) and the probe answers from cached
 // subtree aggregates instead of replaying the bank's whole event list. The
 // probe path performs no allocation; RankBanks reuses internal scratch.
-// NaiveTracker (naive.go) keeps the original sorted-event-list
-// implementation as the differential-testing and benchmarking reference.
+// NaiveTracker (naive_test.go) keeps the original sorted-event-list
+// implementation as the differential-testing and benchmarking reference; it
+// is compiled into tests only.
 //
 // The package also exposes the overall register pressure ratio used for the
 // THRES trade-off between spill risk and conflict cost.
