@@ -131,3 +131,72 @@ func TestUnknownMethodReturnsError(t *testing.T) {
 		}
 	}
 }
+
+// pairModule is a two-function module: a loop whose fma reads three FP
+// registers, and a straight-line kernel.
+const pairModule = `module pair
+func @axpy {
+ entry:
+  %0 = iconst 0
+  %1 = iconst 64
+  %2:fp = fconst 2.5
+  br loop
+ loop: !trip=64
+  %3:fp = fload %0, 0
+  %4:fp = fload %0, 64
+  %5:fp = fma %2, %3, %4
+  fstore %5, %0, 64
+  %0 = iaddi %0, 1
+  %6 = icmplt %0, %1
+  condbr %6, loop, done
+ done:
+  ret
+}
+` + kernelB
+
+// TestPortfolioRunDumpText pins the whole report of a portfolio compile:
+// the winner line, the conflict and spill counts, the allocated MIR and
+// the simulated metrics of each function, in name order.
+func TestPortfolioRunDumpText(t *testing.T) {
+	const want = `<stdin>/axpy: file=32r/2b method=portfolio winner=bpc
+  instrs=12 conflict-relevant=1 static-conflicts=1 weighted=64
+  spills=0+0 copies=0 subgroup-violations=0
+func @axpy {
+  entry:
+    x0 = iconst 0
+    x1 = iconst 64
+    f0 = fconst 2.5
+    br ; succs: loop
+  loop: !trip=64
+    f1 = fload x0, 0
+    f2 = fload x0, 64
+    f1 = fma f0, f1, f2
+    fstore f1, x0, 64
+    x0 = iaddi x0, 1
+    x2 = icmplt x0, x1
+    condbr x2 ; succs: loop, done
+  done:
+    ret
+}
+  executed=453 cycles=517 dynamic-conflicts=64
+<stdin>/beta: file=32r/2b method=portfolio winner=bpc
+  instrs=5 conflict-relevant=1 static-conflicts=0 weighted=0
+  spills=0+0 copies=0 subgroup-violations=0
+func @beta {
+  entry:
+    x1 = iconst 0
+    f0 = fload x1, 0
+    f1 = fmul f0, f0
+    fstore f1, x1, 3
+    ret
+}
+  executed=5 cycles=5 dynamic-conflicts=0
+`
+	var out strings.Builder
+	if err := run([]string{"-method", "portfolio", "-run", "-dump"}, strings.NewReader(pairModule), &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != want {
+		t.Errorf("output differs\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
