@@ -47,7 +47,7 @@ import (
 	"runtime"
 	"strings"
 
-	"prescount/internal/portfolio"
+	"prescount/internal/core"
 	"prescount/internal/router"
 	"prescount/internal/server"
 )
@@ -76,7 +76,7 @@ func main() {
 	fleet := flag.Int("fleet", 0, "also run the fleet cold/warm-restart pair with this many routed daemons (0 disables)")
 	jsonOut := flag.String("json", "BENCH_serve.json", "trajectory artifact path (\"\" disables)")
 	flag.Parse()
-	_, _, err := portfolio.ParseMethod(*method)
+	_, err := core.ParseMethod(*method)
 	check(err)
 
 	art := artifact{Schema: "prescount-serve/3"}

@@ -9,8 +9,8 @@
 //	-banks N       bank count (default 2)
 //	-subgroups N   subgroups per bank (default 1; >1 enables the DSA path)
 //	-method M      non | bcr | brc | bpc | binpack | coloring (default bpc),
-//	               or "portfolio" (race every method per function, keep the
-//	               cheapest result)
+//	               or "portfolio" (race bpc, brc, binpack and coloring per
+//	               function, keep the cheapest result)
 //	-coloring-timeout D  deterministic work budget of the coloring
 //	               allocator before it bails to linear scan (default 250ms)
 //	-dump          print the allocated MIR
@@ -41,7 +41,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -51,7 +50,6 @@ import (
 	"prescount/internal/compilecache"
 	"prescount/internal/core"
 	"prescount/internal/diskcache"
-	"prescount/internal/portfolio"
 )
 
 func main() {
@@ -90,7 +88,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	m, race, err := portfolio.ParseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		return err
 	}
@@ -169,21 +167,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				fmt.Fprint(stdout, doc)
 				continue
 			}
-			var res *prescount.Result
+			res, err := prescount.Compile(f, opts)
+			if err != nil {
+				return err
+			}
 			methodLine := m.String()
-			if race {
-				rr, err := portfolio.CompileFunc(context.Background(), f, opts)
-				if err != nil {
-					return err
-				}
-				res = rr.Result
-				methodLine = fmt.Sprintf("%s winner=%v", portfolio.ModePortfolio, rr.Winner)
-			} else {
-				var err error
-				res, err = prescount.Compile(f, opts)
-				if err != nil {
-					return err
-				}
+			if m == prescount.MethodPortfolio {
+				methodLine += " winner=" + res.Method.String()
 			}
 			r := res.Report
 			fmt.Fprintf(stdout, "%s/%s: file=%v method=%s\n", in.name, f.Name, file, methodLine)

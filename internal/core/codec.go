@@ -15,7 +15,7 @@ package core
 //     miss, never a crash (fuzzed by FuzzDecodeResult).
 //
 // The format is a version-tagged concatenation of sections (function,
-// conflict report, allocator stats, pre-pass stats) using unsigned/signed
+// conflict report, allocator stats, pre-pass stats, method) using unsigned/signed
 // varints for integers, length-prefixed bytes for strings and fixed 64-bit
 // words for float bit patterns. Maps are emitted in sorted key order.
 //
@@ -39,8 +39,8 @@ import (
 // codecMagic tags an encoded Result; the last byte is the format version.
 // Any mismatch decodes as an error (the disk cache treats it as a miss and
 // drops the entry), so the version byte is the only migration story the
-// format needs.
-var codecMagic = [4]byte{'P', 'C', 'R', 2}
+// format needs. Version 3 added Result.Method.
+var codecMagic = [4]byte{'P', 'C', 'R', 3}
 
 // EncodeResult serializes res. The encoding is deterministic: identical
 // results produce identical bytes. Results carrying the allocator's
@@ -64,7 +64,8 @@ func EncodeResult(res *Result) ([]byte, error) {
 		res.SDG.LargestBefore, res.SDG.LargestAfter,
 		res.Sched.Reordered,
 		res.BankAssignForced,
-		res.Renumber.Renamed, res.Renumber.Nodes, res.Renumber.OverflowNodes)
+		res.Renumber.Renamed, res.Renumber.Nodes, res.Renumber.OverflowNodes,
+		int(res.Method))
 	return buf, nil
 }
 
@@ -278,6 +279,13 @@ func DecodeResult(data []byte) (*Result, error) {
 	res.Renumber.Renamed = d.int()
 	res.Renumber.Nodes = d.int()
 	res.Renumber.OverflowNodes = d.int()
+	// A result is produced by one allocator method, never by the portfolio
+	// itself: the race returns its winner's result.
+	if m := d.int(); d.err == nil && (m < int(MethodNon) || m >= int(MethodPortfolio)) {
+		d.fail("method %d outside non..coloring", m)
+	} else {
+		res.Method = Method(m)
+	}
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -13,6 +13,8 @@ import (
 
 // codecCases spans the option space the codec must round-trip: every
 // method, both platform shapes, the DSA subgroup path and linear scan.
+// Binpack and coloring carry the Rescues and ColoringBailed stats (a
+// one-unit coloring budget bails), and a portfolio result its winner.
 func codecCases() []Options {
 	return []Options{
 		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodBPC},
@@ -21,6 +23,9 @@ func codecCases() []Options {
 		{File: bankfile.Config{NumRegs: 1024, NumBanks: 4}, Method: MethodBRC},
 		{File: bankfile.Config{NumRegs: 1024, NumBanks: 2, NumSubgroups: 4}, Method: MethodBPC, Subgroups: true},
 		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodNon, LinearScan: true},
+		{File: bankfile.Config{NumRegs: 16, NumBanks: 2}, Method: MethodBinpack},
+		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodColoring, ColoringTimeout: 1},
+		{File: bankfile.Config{NumRegs: 32, NumBanks: 4}, Method: MethodPortfolio},
 	}
 }
 
@@ -71,18 +76,23 @@ func assertResultsEqual(t *testing.T, want, got *Result, label string) {
 		want.BankAssignForced != got.BankAssignForced || want.Renumber != got.Renumber {
 		t.Fatalf("%s: pre-pass stats diverged", label)
 	}
+	if want.Method != got.Method {
+		t.Fatalf("%s: method %v decoded as %v", label, want.Method, got.Method)
+	}
 }
 
 // TestCodecRoundTrip pins the codec contract: decode(encode(r)) preserves
 // every field, re-encoding is byte-identical, and the decoded result is
 // byte-identical to a fresh compile of the same input.
 func TestCodecRoundTrip(t *testing.T) {
+	bailed := false
 	for _, f := range codecFuncs(t) {
 		for _, opts := range codecCases() {
 			res, err := Compile(f, opts)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", f.Name, err)
 			}
+			bailed = bailed || res.Alloc.ColoringBailed
 			enc, err := EncodeResult(res)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", f.Name, err)
@@ -109,6 +119,48 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s: fresh compile: %v", f.Name, err)
 			}
 			assertResultsEqual(t, fresh, dec, f.Name+" (vs fresh)")
+		}
+	}
+	if !bailed {
+		t.Error("no coloring case bailed, so ColoringBailed never round-tripped")
+	}
+	// No corpus function makes binpack rescue, so set the count by hand.
+	res, err := Compile(codecFuncs(t)[0], Options{File: bankfile.RV2(2), Method: MethodBinpack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rescued := *res
+	alloc := *res.Alloc
+	alloc.Rescues = 3
+	rescued.Alloc = &alloc
+	enc, err := EncodeResult(&rescued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeResult(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, &rescued, dec, "rescued")
+}
+
+// TestCodecRejectsPortfolioMethod pins that a decoded result names one of
+// the allocator methods: a portfolio result carries its winner, so a
+// record naming the portfolio itself (or anything past it) is corrupt.
+func TestCodecRejectsPortfolioMethod(t *testing.T) {
+	res, err := Compile(codecFuncs(t)[0], Options{File: bankfile.RV2(2), Method: MethodColoring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{MethodPortfolio, MethodPortfolio + 1, -1} {
+		bad := *res
+		bad.Method = m
+		enc, err := EncodeResult(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeResult(enc); err == nil {
+			t.Errorf("method %d decoded", m)
 		}
 	}
 }
@@ -215,7 +267,7 @@ func TestCodecCorruption(t *testing.T) {
 func FuzzDecodeResult(fz *testing.F) {
 	for _, instrs := range []int{20, 150} {
 		f := workload.RandomSized(int64(instrs), instrs)
-		for _, opts := range codecCases()[:3] {
+		for _, opts := range codecCases() {
 			res, err := Compile(f, opts)
 			if err != nil {
 				continue
@@ -227,6 +279,8 @@ func FuzzDecodeResult(fz *testing.F) {
 		}
 	}
 	fz.Add([]byte("PCR\x01"))
+	fz.Add([]byte("PCR\x02"))
+	fz.Add([]byte("PCR\x03"))
 	fz.Add([]byte{})
 	fz.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data)

@@ -34,7 +34,7 @@ import (
 	"prescount/internal/verify"
 )
 
-// Method aliases the allocator's method selector (non / bcr / bpc).
+// Method aliases the allocator's method selector.
 type Method = regalloc.Method
 
 // Re-exported method constants.
@@ -45,26 +45,30 @@ const (
 	MethodBRC      = regalloc.MethodBRC
 	MethodBinpack  = regalloc.MethodBinpack
 	MethodColoring = regalloc.MethodColoring
+	// MethodPortfolio races the allocators on each function and keeps the
+	// cheapest result (see race).
+	MethodPortfolio = regalloc.MethodPortfolio
 )
 
 // ParseMethod maps a method name ("non", "bcr", "bpc", "brc", "binpack",
-// "coloring") to its Method constant. The portfolio mode ("portfolio") is
-// not a single method — internal/portfolio handles it above this layer — so
-// it is rejected here.
-func ParseMethod(s string) (Method, bool) {
-	for _, m := range []Method{MethodNon, MethodBCR, MethodBPC, MethodBRC, MethodBinpack, MethodColoring} {
+// "coloring" or "portfolio") to its Method constant. It is the one parser
+// of method strings: prescountc, loadgen, the daemon and benchtab all call
+// it, so every surface names the methods alike.
+func ParseMethod(s string) (Method, error) {
+	for m := MethodNon; m <= MethodPortfolio; m++ {
 		if m.String() == s {
-			return m, true
+			return m, nil
 		}
 	}
-	return 0, false
+	return 0, fmt.Errorf("unknown method %q (want non, bcr, brc, bpc, binpack, coloring or portfolio)", s)
 }
 
 // Options configures a pipeline run.
 type Options struct {
 	// File is the FP register file configuration.
 	File bankfile.Config
-	// Method selects non / bcr / bpc.
+	// Method selects non / bcr / brc / bpc / binpack / coloring, or
+	// portfolio, which races bpc, brc, binpack and coloring.
 	Method Method
 	// Subgroups enables the DSA path: SDG-based subgroup splitting plus
 	// subgroup displacement hints in the allocator. Requires
@@ -157,6 +161,9 @@ type Result struct {
 	BankAssignForced int
 	// Renumber reports the post-allocation renumbering pass (brc only).
 	Renumber renumber.Stats
+	// Method is the method that produced the allocation: Options.Method,
+	// or the winning candidate of a portfolio race.
+	Method Method
 }
 
 // Compile runs the full pipeline over a copy of f and returns the allocated
@@ -180,10 +187,14 @@ func Compile(f *ir.Func, opts Options) (*Result, error) {
 // context.DeadlineExceeded) / context.Canceled discriminates cancellation
 // from compile failures. Cancelled compiles are never retained by
 // opts.Cache — a later lookup of the same key recomputes under its own
-// context.
+// context. Under MethodPortfolio it races the candidate methods (race) and
+// returns the winner's result.
 func CompileContext(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", f.Name, err)
+	}
+	if opts.Method == MethodPortfolio {
+		return race(ctx, f, opts, 0)
 	}
 	if err := f.Verify(); err != nil {
 		return nil, fmt.Errorf("core: input: %w", err)
@@ -487,6 +498,7 @@ func runPost(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Option
 		return err
 	}
 	res.Func = work
+	res.Method = opts.Method
 	res.Report = conflict.AnalyzeWith(work, opts.File, ac.CFG())
 	if opts.VerifyEach {
 		if err := verifyErr(work, "conflict-analysis", verify.CheckReport(work, opts.File, res.Report)); err != nil {

@@ -24,7 +24,8 @@ import (
 //     DisablePressure and DisableFreeHints reach only the bpc bank
 //     assigner, so they enter the digest only under MethodBPC (any other
 //     method ignores them, and hashing them would split identical
-//     compiles into distinct entries).
+//     compiles into distinct entries). MethodPortfolio runs bpc, binpack
+//     and coloring, so it hashes every one of their knobs.
 //
 // Cache, Workers, VerifySemantics, VerifyMemSize, VerifyEach and
 // Validate never affect the compiled output and are deliberately excluded
@@ -49,8 +50,8 @@ func (o Options) PrefixDigest() uint64 {
 // compiled Result: the prefix fields plus the suffix-only ones. The File is
 // normalized first so zero-default and explicit-default configurations
 // (NumSubgroups/ReadPorts 0 vs 1) address the same entry. Options that only
-// the bpc bank assigner reads are hashed only under MethodBPC; the method
-// itself is always hashed, so the conditional cannot collide two
+// one method reads are hashed only under that method and MethodPortfolio;
+// the method itself is always hashed, so the conditional cannot collide two
 // semantically different option sets.
 func (o Options) FullDigest() uint64 {
 	file := o.File.Normalize()
@@ -61,18 +62,20 @@ func (o Options) FullDigest() uint64 {
 	writeU64(h, uint64(int64(file.NumSubgroups)))
 	writeU64(h, uint64(int64(file.ReadPorts)))
 	writeU64(h, uint64(int64(o.Method)))
-	if o.Method == MethodBPC {
+	// The method-specific knobs are hashed only under a method that reads
+	// them: hashing one under any other method would split identical
+	// compiles into distinct cache entries. A portfolio compile runs every
+	// candidate, so it reads them all.
+	race := o.Method == MethodPortfolio
+	if o.Method == MethodBPC || race {
 		writeU64(h, math.Float64bits(o.THRES))
 		writeBool(h, o.DisablePressure)
 		writeBool(h, o.DisableFreeHints)
 	}
-	// The allocator-method knobs follow the same gating: each reaches only
-	// its own allocator, so hashing it under any other method would split
-	// identical compiles into distinct cache entries.
-	if o.Method == MethodColoring {
+	if o.Method == MethodColoring || race {
 		writeU64(h, uint64(int64(o.ColoringTimeout)))
 	}
-	if o.Method == MethodBinpack {
+	if o.Method == MethodBinpack || race {
 		writeU64(h, uint64(int64(o.BinpackMaxRescues)))
 	}
 	writeBool(h, o.LinearScan)

@@ -61,6 +61,35 @@ func TestMethodGatedKnobDigests(t *testing.T) {
 	}
 }
 
+// TestPortfolioDigestKeysEveryKnob pins that a portfolio digest reads
+// every knob one of its candidates reads, so two portfolio compiles that
+// differ in any of them never share an entry (batch dedup keys on it).
+func TestPortfolioDigestKeysEveryKnob(t *testing.T) {
+	base := Options{File: bankfile.RV2(2), Method: MethodPortfolio}
+	knobs := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"THRES", func(o *Options) { o.THRES = 0.5 }},
+		{"DisablePressure", func(o *Options) { o.DisablePressure = true }},
+		{"DisableFreeHints", func(o *Options) { o.DisableFreeHints = true }},
+		{"ColoringTimeout", func(o *Options) { o.ColoringTimeout = 5 * time.Millisecond }},
+		{"BinpackMaxRescues", func(o *Options) { o.BinpackMaxRescues = 9 }},
+	}
+	for _, k := range knobs {
+		o := base
+		k.set(&o)
+		if o.FullDigest() == base.FullDigest() {
+			t.Errorf("%s did not key a portfolio compile", k.name)
+		}
+	}
+	for _, m := range portfolioMethods {
+		if (Options{File: bankfile.RV2(2), Method: m}).FullDigest() == base.FullDigest() {
+			t.Errorf("portfolio shares a FullDigest with %v", m)
+		}
+	}
+}
+
 // TestCrossMethodCacheHitRates is the satellite hit-rate regression: a warm
 // single-method entry must keep hitting while the portfolio allocators'
 // knobs sweep — adding methods must not dilute existing hit rates.

@@ -1,32 +1,24 @@
-package portfolio
+package core
 
 import (
 	"context"
-	"fmt"
+	"strings"
 	"testing"
 
 	"prescount/internal/bankfile"
 	"prescount/internal/compilecache"
-	"prescount/internal/core"
 	"prescount/internal/ir"
 	"prescount/internal/workload"
 )
 
 // corpusFuncs returns a deterministic cross-suite sample of workload
-// functions: the first program of every category of every suite.
+// functions: the functions of the first perSuite programs of every suite.
 func corpusFuncs(t *testing.T, perSuite int) []*ir.Func {
 	t.Helper()
 	var out []*ir.Func
 	for _, s := range []*workload.Suite{workload.SPECfp(), workload.CNN(), workload.DSAOP()} {
-		n := 0
-		for _, p := range s.Programs {
-			for _, f := range p.Funcs() {
-				out = append(out, f)
-			}
-			n++
-			if n >= perSuite {
-				break
-			}
+		for _, p := range s.Programs[:perSuite] {
+			out = append(out, p.Funcs()...)
 		}
 	}
 	if len(out) == 0 {
@@ -35,8 +27,8 @@ func corpusFuncs(t *testing.T, perSuite int) []*ir.Func {
 	return out
 }
 
-func baseOpts() core.Options {
-	return core.Options{File: bankfile.RV2(2), Method: core.MethodBPC}
+func raceOpts() Options {
+	return Options{File: bankfile.RV2(2), Method: MethodPortfolio}
 }
 
 func TestRaceWinnerAndBytesDeterministic(t *testing.T) {
@@ -46,20 +38,19 @@ func TestRaceWinnerAndBytesDeterministic(t *testing.T) {
 	}
 	for _, f := range funcs {
 		type run struct {
-			winner core.Method
+			winner Method
 			bytes  string
 		}
 		var first *run
 		for _, workers := range []int{1, 2, 4} {
 			for rep := 0; rep < 2; rep++ {
-				cache := compilecache.New()
-				opts := baseOpts()
-				opts.Cache = cache
-				rr, err := Race(context.Background(), f, opts, DefaultMethods(), DefaultStaticCost(), workers)
+				opts := raceOpts()
+				opts.Cache = compilecache.New()
+				res, err := race(context.Background(), f, opts, workers)
 				if err != nil {
 					t.Fatalf("%s: %v", f.Name, err)
 				}
-				got := run{rr.Winner, ir.Print(rr.Result.Func)}
+				got := run{res.Method, ir.Print(res.Func)}
 				if first == nil {
 					first = &got
 					continue
@@ -78,9 +69,9 @@ func TestRaceWinnerAndBytesDeterministic(t *testing.T) {
 func TestRaceSharesPrefix(t *testing.T) {
 	f := corpusFuncs(t, 1)[0]
 	cache := compilecache.New()
-	opts := baseOpts()
+	opts := raceOpts()
 	opts.Cache = cache
-	if _, err := Race(context.Background(), f, opts, DefaultMethods(), DefaultStaticCost(), 0); err != nil {
+	if _, err := CompileContext(context.Background(), f, opts); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -89,8 +80,8 @@ func TestRaceSharesPrefix(t *testing.T) {
 	if st.PrefixMisses != 1 {
 		t.Errorf("prefix computed %d times, want 1", st.PrefixMisses)
 	}
-	if st.PrefixHits < int64(len(DefaultMethods())-1) {
-		t.Errorf("prefix hits = %d, want >= %d", st.PrefixHits, len(DefaultMethods())-1)
+	if st.PrefixHits < int64(len(portfolioMethods)-1) {
+		t.Errorf("prefix hits = %d, want >= %d", st.PrefixHits, len(portfolioMethods)-1)
 	}
 }
 
@@ -107,26 +98,37 @@ func TestRaceZeroCostShortCircuit(t *testing.T) {
 	bd.Ret()
 	f := bd.Func()
 	for rep := 0; rep < 8; rep++ {
-		rr, err := Race(context.Background(), f, baseOpts(), DefaultMethods(), DefaultStaticCost(), 0)
+		res, err := CompileContext(context.Background(), f, raceOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rr.Winner != DefaultMethods()[0] {
-			t.Fatalf("rep %d: zero-cost tie broken to %v, want rank 0 (%v)", rep, rr.Winner, DefaultMethods()[0])
+		if res.Method != portfolioMethods[0] {
+			t.Fatalf("rep %d: zero-cost tie broken to %v, want rank 0 (%v)", rep, res.Method, portfolioMethods[0])
 		}
 	}
 }
 
-type failingCost struct{}
-
-func (failingCost) Name() string                        { return "failing" }
-func (failingCost) Score(*core.Result) (float64, error) { return 0, fmt.Errorf("boom") }
-
 func TestRaceAllCandidatesFail(t *testing.T) {
-	f := corpusFuncs(t, 1)[0]
-	_, err := Race(context.Background(), f, baseOpts(), DefaultMethods(), failingCost{}, 0)
+	// f40 lies outside RV#2's 32-register file, so every candidate rejects
+	// the input before any phase runs.
+	f, err := ir.Parse(`func @outside {
+ entry:
+  x1 = iconst 0
+  f40 = fconst 1.5
+  fstore f40, x1, 0
+  ret
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CompileContext(context.Background(), f, raceOpts())
 	if err == nil {
-		t.Fatal("race succeeded with a cost model that always fails")
+		t.Fatal("race succeeded on an input every candidate rejects")
+	}
+	for _, want := range []string{"portfolio: outside: every candidate failed", "outside the 32-register file"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 
@@ -137,26 +139,23 @@ func TestRaceCancellation(t *testing.T) {
 	for _, f := range funcs[:4] {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := Race(ctx, f, baseOpts(), DefaultMethods(), DefaultStaticCost(), 0); err == nil {
+		if _, err := race(ctx, f, raceOpts(), 0); err == nil {
 			t.Fatalf("%s: race ignored a cancelled context", f.Name)
 		}
 	}
 }
 
 func TestCorpusVerifierCleanUnderNewMethods(t *testing.T) {
-	// Satellite: every corpus function compiles verifier-clean (V001-V040)
-	// and semantics-preserving under each new allocator.
+	// Every corpus function compiles verifier-clean (V001-V040) and
+	// semantics-preserving under each portfolio allocator.
 	funcs := corpusFuncs(t, 1)
 	if testing.Short() {
 		funcs = funcs[:6]
 	}
-	for _, method := range []core.Method{core.MethodBinpack, core.MethodColoring} {
+	for _, method := range []Method{MethodBinpack, MethodColoring} {
 		for _, f := range funcs {
-			opts := baseOpts()
-			opts.Method = method
-			opts.VerifyEach = true
-			opts.VerifySemantics = true
-			if _, err := core.Compile(f, opts); err != nil {
+			opts := Options{File: bankfile.RV2(2), Method: method, VerifyEach: true, VerifySemantics: true}
+			if _, err := Compile(f, opts); err != nil {
 				t.Errorf("%v/%s: %v", method, f.Name, err)
 			}
 		}

@@ -108,6 +108,9 @@ type Counts struct {
 	Cycles int64
 	// Funcs and Instrs describe size.
 	Funcs, Instrs int
+	// Wins counts the functions each method won, indexed by method
+	// (portfolio compiles only). It stays out of the JSON sweeps.
+	Wins [core.MethodPortfolio]int `json:"-"`
 }
 
 func (c *Counts) add(o Counts) {
@@ -121,11 +124,15 @@ func (c *Counts) add(o Counts) {
 	c.Cycles += o.Cycles
 	c.Funcs += o.Funcs
 	c.Instrs += o.Instrs
+	for m, n := range o.Wins {
+		c.Wins[m] += n
+	}
 }
 
 // CompileProgram compiles every function of p under opts and aggregates the
-// statistics. When simulate is true, hot functions of the allocated code
-// are executed to collect dynamic conflicts and cycles.
+// statistics, counting race wins under MethodPortfolio. When simulate is
+// true, hot functions of the allocated code are executed to collect
+// dynamic conflicts and cycles.
 func CompileProgram(p *workload.Program, opts core.Options, simulate, vliw bool) (Counts, error) {
 	opts.VerifyEach = opts.VerifyEach || VerifyEach
 	opts.Validate = opts.Validate || Validate
@@ -145,6 +152,9 @@ func CompileProgram(p *workload.Program, opts core.Options, simulate, vliw bool)
 			Funcs:       1,
 			Instrs:      res.Report.Instrs,
 		})
+		if opts.Method == core.MethodPortfolio {
+			total.Wins[res.Method]++
+		}
 		if simulate && p.IsHot(f.Name) {
 			sr, err := sim.Run(res.Func, sim.Options{
 				File:    opts.File,

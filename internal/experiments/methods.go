@@ -9,8 +9,6 @@ import (
 	"prescount/internal/compilecache"
 	"prescount/internal/core"
 	"prescount/internal/pool"
-	"prescount/internal/portfolio"
-	"prescount/internal/sim"
 	"prescount/internal/workload"
 )
 
@@ -31,10 +29,9 @@ type MethodCell struct {
 	Spills int    `json:"spill_instrs"`
 	Copies int    `json:"copies"`
 	Cycles int64  `json:"cycles"`
-	// Score is the portfolio's default static cost over the aggregate
-	// (conflicts, spills and copies weighted as in
-	// portfolio.DefaultStaticCost) — the number the CI portfolio gate
-	// compares across methods.
+	// Score is core.StaticScore, the portfolio's cost model, over the
+	// aggregate conflicts, spills and copies — the number the CI portfolio
+	// gate compares across methods.
 	Score  float64 `json:"static_score"`
 	WallNS int64   `json:"wall_ns"`
 	// Wins attributes race victories per winning method (portfolio only).
@@ -72,84 +69,43 @@ func CompareMethods(suites []*workload.Suite, file bankfile.Config) (*MethodComp
 
 // compareCell compiles one suite under one method name.
 func compareCell(s *workload.Suite, file bankfile.Config, name string, cache *compilecache.Cache) (*MethodCell, error) {
-	opts := core.Options{File: file, Cache: cache, VerifyEach: VerifyEach, Validate: Validate}
-	cell := &MethodCell{Suite: s.Name, Method: name}
-	start := time.Now()
-
-	type progResult struct {
-		counts Counts
-		wins   map[string]int
-	}
-	results := make([]progResult, len(s.Programs))
-	method, race, err := portfolio.ParseMethod(name)
+	method, err := core.ParseMethod(name)
 	if err != nil {
 		return nil, fmt.Errorf("methods: %w", err)
 	}
-
-	err = pool.Run(context.Background(), len(s.Programs), Workers, func(ctx context.Context, i int) error {
-		p := s.Programs[i]
-		if !race {
-			mopts := opts
-			mopts.Method = method
-			c, err := CompileProgram(p, mopts, true, false)
-			if err != nil {
-				return err
-			}
-			results[i].counts = c
-			return nil
-		}
-		r := &results[i]
-		r.wins = map[string]int{}
-		for _, f := range p.Funcs() {
-			rr, err := portfolio.CompileFunc(ctx, f, opts)
-			if err != nil {
-				return fmt.Errorf("%s/%s/%s: %w", name, p.Name, f.Name, err)
-			}
-			rep := rr.Result.Report
-			r.counts.add(Counts{
-				Reles:       rep.ConflictRelevant,
-				Static:      rep.StaticConflicts,
-				Weighted:    rep.WeightedConflicts,
-				SpillInstrs: core.Spills(rep),
-				Copies:      rep.Copies,
-				SubViol:     rep.SubgroupViolations,
-				Funcs:       1,
-				Instrs:      rep.Instrs,
-			})
-			r.wins[rr.Winner.String()]++
-			if p.IsHot(f.Name) {
-				sr, err := sim.Run(rr.Result.Func, sim.Options{File: opts.File, MemSize: p.MemSize})
-				if err != nil {
-					return fmt.Errorf("simulate %s/%s/%s: %w", name, p.Name, f.Name, err)
-				}
-				r.counts.Dynamic += sr.DynamicConflicts
-				r.counts.Cycles += sr.Cycles
-			}
-		}
-		return nil
+	opts := core.Options{File: file, Method: method, Cache: cache}
+	start := time.Now()
+	results := make([]Counts, len(s.Programs))
+	err = pool.Run(context.Background(), len(s.Programs), Workers, func(_ context.Context, i int) error {
+		var err error
+		results[i], err = CompileProgram(s.Programs[i], opts, true, false)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	var total Counts
-	for i := range results {
-		total.add(results[i].counts)
-		if results[i].wins != nil {
-			if cell.Wins == nil {
-				cell.Wins = map[string]int{}
-			}
-			for m, n := range results[i].wins {
-				cell.Wins[m] += n
+	for _, c := range results {
+		total.add(c)
+	}
+	cell := &MethodCell{
+		Suite:  s.Name,
+		Method: name,
+		Static: total.Static,
+		Spills: total.SpillInstrs,
+		Copies: total.Copies,
+		Cycles: total.Cycles,
+		Score:  float64(core.StaticScore(total.Static, total.SpillInstrs, total.Copies)),
+	}
+	if method == core.MethodPortfolio {
+		cell.Wins = map[string]int{}
+		for m, n := range total.Wins {
+			if n > 0 {
+				cell.Wins[core.Method(m).String()] = n
 			}
 		}
 	}
-	cell.Static = total.Static
-	cell.Spills = total.SpillInstrs
-	cell.Copies = total.Copies
-	cell.Cycles = total.Cycles
-	sc := portfolio.DefaultStaticCost()
-	cell.Score = sc.Conflicts*float64(cell.Static) + sc.Spills*float64(cell.Spills) + sc.Copies*float64(cell.Copies)
 	cell.WallNS = time.Since(start).Nanoseconds()
 	return cell, nil
 }

@@ -61,6 +61,10 @@ const (
 	// bank-aware color cost from the RCG, guarded by a deterministic work
 	// budget that bails to linear scan so it can never hang a request.
 	MethodColoring
+	// MethodPortfolio is a pipeline method, like MethodBRC: core races
+	// bpc, brc, binpack and coloring on each function and keeps the
+	// cheapest result. The allocator never receives it.
+	MethodPortfolio
 )
 
 // String returns the paper's name for the method.
@@ -76,6 +80,8 @@ func (m Method) String() string {
 		return "binpack"
 	case MethodColoring:
 		return "coloring"
+	case MethodPortfolio:
+		return "portfolio"
 	default:
 		return "non"
 	}

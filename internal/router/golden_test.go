@@ -53,7 +53,8 @@ type goldenRequest struct {
 // /v1/compile in the JSON and the raw-MIR envelope, a module of those
 // kernels on /v1/compile/module, and a batch with duplicates, a renamed
 // duplicate and a parse error on /v1/compile/batch, each under every
-// option set (portfolio not in the batch, which rejects it per entry).
+// option set (portfolio not in the batch: batch entries rejected it when
+// these digests were taken).
 func goldenRequests(t *testing.T) []goldenRequest {
 	t.Helper()
 	kernels := server.Corpus(2)

@@ -95,7 +95,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	deduped := 0
 	for i := range req.Entries {
 		e := &req.Entries[i]
-		_, fjobs, errResp := s.prepare(e, true)
+		_, fjobs, errResp := s.prepare(e)
 		if errResp == nil && len(fjobs) != 1 {
 			errResp = &errorResponse{
 				Error: fmt.Sprintf("%d functions in batch entry; each entry is one kernel", len(fjobs)),

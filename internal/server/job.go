@@ -8,7 +8,6 @@ import (
 	"prescount/internal/core"
 	"prescount/internal/ir"
 	"prescount/internal/pool"
-	"prescount/internal/portfolio"
 	"prescount/internal/sim"
 )
 
@@ -19,32 +18,20 @@ import (
 type job struct {
 	f    *ir.Func
 	opts core.Options
-	// race runs the portfolio instead of opts.Method.
-	race bool
 	// simulate asks for a run of the allocated code, under the dual-issue
 	// cycle model when vliw is set.
 	simulate, vliw bool
 
-	res    *core.Result
-	winner string // the portfolio's winning method
-	sim    *SimJSON
-	err    *errorResponse
+	res *core.Result
+	sim *SimJSON
+	err *errorResponse
 }
 
 // run compiles the job and, when asked, simulates the result. Only a
 // goroutine that holds an admission slot calls it.
 func (j *job) run(ctx context.Context, m *metrics) {
 	start := time.Now()
-	var err error
-	if j.race {
-		var rr *portfolio.RaceResult
-		if rr, err = portfolio.CompileFunc(ctx, j.f, j.opts); err == nil {
-			j.res, j.winner = rr.Result, rr.Winner.String()
-			m.countWin(j.winner)
-		}
-	} else {
-		j.res, err = core.CompileContext(ctx, j.f, j.opts)
-	}
+	res, err := core.CompileContext(ctx, j.f, j.opts)
 	m.phase("compile").observe(time.Since(start))
 	if err != nil {
 		code := CodeCompile
@@ -53,6 +40,10 @@ func (j *job) run(ctx context.Context, m *metrics) {
 		}
 		j.fail(m, code, err.Error())
 		return
+	}
+	j.res = res
+	if j.opts.Method == core.MethodPortfolio {
+		m.countWin(res.Method.String())
 	}
 	if !j.simulate {
 		return
@@ -93,7 +84,9 @@ func (j *job) response(name string, emitMIR bool) FuncResponse {
 		Report: reportJSON(j.res.Report),
 		Alloc:  allocJSON(j.res.Alloc),
 		Sim:    j.sim,
-		Method: j.winner,
+	}
+	if j.opts.Method == core.MethodPortfolio {
+		fr.Method = j.res.Method.String()
 	}
 	if emitMIR {
 		fn := j.res.Func

@@ -135,24 +135,55 @@ func TestCompilePortfolioDeterministicAcrossRequests(t *testing.T) {
 	}
 }
 
-func TestBatchRejectsPortfolioModes(t *testing.T) {
+// TestBatchPortfolioEntries pins portfolio in the batch: identical
+// portfolio entries share one race, the answer carries the winner and
+// matches /v1/compile's, and a knob only a candidate reads keeps two
+// portfolio entries apart.
+func TestBatchPortfolioEntries(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	breq := BatchRequest{Entries: []CompileRequest{{MIR: kernelMIR, Method: "portfolio"}}}
-	body, _ := json.Marshal(breq)
-	resp, err := http.Post(ts.URL+"/v1/compile/batch", "application/json", strings.NewReader(string(body)))
-	if err != nil {
+	race := CompileRequest{MIR: kernelMIR, Method: "portfolio", EmitMIR: true}
+	entries := []CompileRequest{race, race, {MIR: kernelMIR, Method: "bpc", EmitMIR: true}}
+	resp, br := postBatch(t, ts.URL, BatchRequest{Entries: entries})
+	if br == nil {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	if br.Deduped != 1 {
+		t.Errorf("deduped = %d, want 1 (the second portfolio entry)", br.Deduped)
+	}
+	for i, r := range br.Results {
+		if r.OK == nil {
+			t.Fatalf("entry %d failed: %+v", i, r.Error)
+		}
+	}
+	if br.Results[2].OK.Method != "" {
+		t.Errorf("bpc entry carries method %q, want none", br.Results[2].OK.Method)
+	}
+
+	_, single := newTestServer(t, Config{})
+	sresp, body := postJSON(t, single.URL+"/v1/compile", race)
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("single portfolio compile: status %d: %s", sresp.StatusCode, body)
+	}
+	var want CompileResponse
+	if err := json.Unmarshal(body, &want); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
+	if want.Method == "" {
+		t.Fatal("single portfolio compile carries no winner")
 	}
-	if len(br.Results) != 1 || br.Results[0].Error == nil {
-		t.Fatalf("batch entry with method=portfolio did not error: %+v", br.Results)
+	wantJSON, _ := json.Marshal(want.FuncResponse)
+	for i := 0; i < 2; i++ {
+		gotJSON, _ := json.Marshal(br.Results[i].OK)
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("portfolio entry %d diverged from /v1/compile:\nbatch:  %s\nsingle: %s", i, gotJSON, wantJSON)
+		}
 	}
-	if br.Results[0].Error.Code != CodeBadRequest {
-		t.Errorf("code %q, want %q", br.Results[0].Error.Code, CodeBadRequest)
+
+	thres := race
+	thres.THRES = 0.5
+	_, br = postBatch(t, ts.URL, BatchRequest{Entries: []CompileRequest{race, thres}})
+	if br == nil || br.Deduped != 0 {
+		t.Fatalf("portfolio entries differing in thres deduped: %+v", br)
 	}
 }
 

@@ -47,7 +47,6 @@ import (
 	"prescount/internal/core"
 	"prescount/internal/diskcache"
 	"prescount/internal/ir"
-	"prescount/internal/portfolio"
 	"prescount/internal/regalloc"
 )
 
@@ -221,9 +220,8 @@ type CompileRequest struct {
 	Banks     int `json:"banks,omitempty"`
 	Subgroups int `json:"subgroups,omitempty"`
 	// Method is non | bcr | brc | bpc | binpack | coloring (default bpc),
-	// or "portfolio", which races every method and keeps the cheapest
-	// result. Portfolio is accepted on the compile endpoints, not in batch
-	// entries.
+	// or "portfolio", which races bpc, brc, binpack and coloring and keeps
+	// the cheapest result.
 	Method string `json:"method,omitempty"`
 	// THRES overrides Algorithm 1's pressure threshold (0 = default).
 	THRES float64 `json:"thres,omitempty"`
@@ -379,7 +377,7 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module boo
 		s.fail(w, code, err.Error())
 		return
 	}
-	mod, jobs, e := s.prepare(req, false)
+	mod, jobs, e := s.prepare(req)
 	if e == nil && !module && len(jobs) > 1 {
 		e = &errorResponse{Error: fmt.Sprintf("%d functions in request; use /v1/compile/module", len(jobs)), Code: CodeBadRequest}
 	}
@@ -427,13 +425,9 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, module boo
 
 // prepare is the part of every endpoint's flow that runs before admission
 // for one request envelope: its options, its parse, and one job per
-// function in name order. inBatch rejects portfolio, which batch dedup
-// cannot key. An error comes back as the envelope to answer.
-func (s *Server) prepare(req *CompileRequest, inBatch bool) (*ir.Module, []*job, *errorResponse) {
-	opts, race, err := s.compileOptions(req)
-	if err == nil && race && inBatch {
-		err = fmt.Errorf("method %q is not valid in batch entries; use /v1/compile", req.Method)
-	}
+// function in name order. An error comes back as the envelope to answer.
+func (s *Server) prepare(req *CompileRequest) (*ir.Module, []*job, *errorResponse) {
+	opts, err := s.compileOptions(req)
 	if err != nil {
 		return nil, nil, &errorResponse{Error: err.Error(), Code: CodeBadRequest}
 	}
@@ -449,7 +443,7 @@ func (s *Server) prepare(req *CompileRequest, inBatch bool) (*ir.Module, []*job,
 	funcs := mod.SortedFuncs()
 	jobs := make([]*job, len(funcs))
 	for i, f := range funcs {
-		jobs[i] = &job{f: f, opts: opts, race: race, simulate: req.Simulate, vliw: req.VLIW}
+		jobs[i] = &job{f: f, opts: opts, simulate: req.Simulate, vliw: req.VLIW}
 	}
 	return mod, jobs, nil
 }
@@ -644,19 +638,17 @@ func methodLabel(m string) string {
 }
 
 // compileOptions maps the request envelope onto core.Options, wiring in
-// the shared cache. The second return reports a portfolio request:
-// portfolio is not a core method — job.run routes it through
-// internal/portfolio, with the returned options as the per-candidate base.
-func (s *Server) compileOptions(req *CompileRequest) (core.Options, bool, error) {
-	method, race := core.MethodBPC, false
+// the shared cache.
+func (s *Server) compileOptions(req *CompileRequest) (core.Options, error) {
+	method := core.MethodBPC
 	if req.Method != "" {
 		var err error
-		if method, race, err = portfolio.ParseMethod(req.Method); err != nil {
-			return core.Options{}, false, err
+		if method, err = core.ParseMethod(req.Method); err != nil {
+			return core.Options{}, err
 		}
 	}
 	if req.ColoringTimeoutMS < 0 {
-		return core.Options{}, false, fmt.Errorf("negative coloring_timeout_ms %d", req.ColoringTimeoutMS)
+		return core.Options{}, fmt.Errorf("negative coloring_timeout_ms %d", req.ColoringTimeoutMS)
 	}
 	regs, banks, subgroups := req.Regs, req.Banks, req.Subgroups
 	if regs == 0 {
@@ -669,11 +661,11 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, bool, error)
 		subgroups = 1
 	}
 	if regs < 0 || banks < 0 || subgroups < 0 {
-		return core.Options{}, false, fmt.Errorf("negative register file parameter (regs=%d banks=%d subgroups=%d)", regs, banks, subgroups)
+		return core.Options{}, fmt.Errorf("negative register file parameter (regs=%d banks=%d subgroups=%d)", regs, banks, subgroups)
 	}
 	file := bankfile.Config{NumRegs: regs, NumBanks: banks, NumSubgroups: subgroups, ReadPorts: 1}
 	if err := file.Normalize().Validate(); err != nil {
-		return core.Options{}, false, fmt.Errorf("register file: %w", err)
+		return core.Options{}, fmt.Errorf("register file: %w", err)
 	}
 	return core.Options{
 		File:            file,
@@ -685,7 +677,7 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, bool, error)
 		VerifyEach:      req.Verify,
 		Validate:        req.Validate,
 		Cache:           s.cache,
-	}, race, nil
+	}, nil
 }
 
 // parseSource reads a module, falling back to a bare function, mirroring

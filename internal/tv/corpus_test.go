@@ -6,7 +6,6 @@ import (
 
 	"prescount/internal/bankfile"
 	"prescount/internal/core"
-	"prescount/internal/portfolio"
 	"prescount/internal/tv"
 	"prescount/internal/workload"
 )
@@ -98,12 +97,12 @@ func TestValidateRandomSized(t *testing.T) {
 // never win with a miscompile.
 func TestValidatePortfolioModes(t *testing.T) {
 	f := workload.Random(3)
-	opts := core.Options{File: bankfile.RV2(2), Method: core.MethodBPC, Validate: true}
-	rr, err := portfolio.CompileFunc(context.Background(), f, opts)
+	opts := core.Options{File: bankfile.RV2(2), Method: core.MethodPortfolio, Validate: true}
+	res, err := core.CompileContext(context.Background(), f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Result == nil {
+	if res == nil {
 		t.Fatal("no result")
 	}
 }

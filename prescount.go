@@ -9,11 +9,12 @@
 //
 //   - build or parse machine IR (NewBuilder, Parse, ParseModule);
 //   - pick a register file (RV1, RV2, DSA or a custom RegisterFile);
-//   - compile with Compile/CompileModule under one of four methods:
-//     MethodNon (bank-oblivious baseline), MethodBCR (greedy
+//   - compile with Compile/CompileModule under one of the paper's four
+//     methods: MethodNon (bank-oblivious baseline), MethodBCR (greedy
 //     per-instruction hinting, the Intel-GC-style baseline), MethodBRC
 //     (post-allocation register renumbering) or MethodBPC (the paper's
-//     PresCount);
+//     PresCount); or under MethodBinpack, MethodColoring, or
+//     MethodPortfolio, which races four methods per function;
 //   - inspect the returned conflict report, or execute the allocated code
 //     on the bundled simulator (Simulate) for dynamic conflict instances
 //     and cycle counts;
@@ -80,7 +81,7 @@ type RegisterFile = bankfile.Config
 type Method = core.Method
 
 // The methods compared throughout the paper, plus the two portfolio
-// allocators.
+// allocators and the portfolio that races them.
 const (
 	// MethodNon is default allocation with no bank awareness.
 	MethodNon = core.MethodNon
@@ -95,11 +96,17 @@ const (
 	// MethodColoring is the timeout-guarded conflict-graph coloring
 	// allocator (bails to linear scan when its work budget runs out).
 	MethodColoring = core.MethodColoring
+	// MethodPortfolio races bpc, brc, binpack and coloring on each function
+	// and keeps the cheapest result; Result.Method names the winner.
+	MethodPortfolio = core.MethodPortfolio
 )
 
 // ParseMethod maps a method name ("non", "bcr", "bpc", "brc", "binpack",
-// "coloring") to its Method constant.
-func ParseMethod(s string) (Method, bool) { return core.ParseMethod(s) }
+// "coloring", "portfolio") to its Method constant.
+func ParseMethod(s string) (Method, bool) {
+	m, err := core.ParseMethod(s)
+	return m, err == nil
+}
 
 // Options configures a compilation (see core.Options for field docs).
 type Options = core.Options

@@ -189,7 +189,7 @@ func (b *box) get() int {
 	wantDiags(t, check(t, servingPkg, src),
 		"has no guards: annotation")
 	// Outside the serving stack the convention is opt-in.
-	wantDiags(t, check(t, "prescount/internal/portfolio", src))
+	wantDiags(t, check(t, "prescount/internal/core", src))
 }
 
 func TestGuardsNoneAndBadNames(t *testing.T) {
