@@ -15,9 +15,10 @@ package core
 //     miss, never a crash (fuzzed by FuzzDecodeResult).
 //
 // The format is a version-tagged concatenation of sections (function,
-// conflict report, allocator stats, pre-pass stats, method) using unsigned/signed
-// varints for integers, length-prefixed bytes for strings and fixed 64-bit
-// words for float bit patterns. Maps are emitted in sorted key order.
+// conflict report, allocator stats, pre-pass stats, method) using
+// unsigned/signed varints for integers, length-prefixed bytes for strings
+// and fixed 64-bit words for float bit patterns. Maps are emitted in sorted
+// key order.
 //
 // Results produced under regalloc.Options.Record (the verifier's
 // Assignments / SpillSlotOf / EntryLiveIn captures) are not encodable:
@@ -281,10 +282,9 @@ func DecodeResult(data []byte) (*Result, error) {
 	res.Renumber.OverflowNodes = d.int()
 	// A result is produced by one allocator method, never by the portfolio
 	// itself: the race returns its winner's result.
-	if m := d.int(); d.err == nil && (m < int(MethodNon) || m >= int(MethodPortfolio)) {
-		d.fail("method %d outside non..coloring", m)
-	} else {
-		res.Method = Method(m)
+	res.Method = Method(d.int())
+	if d.err == nil && (res.Method < MethodNon || res.Method >= MethodPortfolio) {
+		d.fail("method %d outside non..coloring", res.Method)
 	}
 	if d.err != nil {
 		return nil, d.err

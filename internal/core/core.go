@@ -52,8 +52,8 @@ const (
 
 // ParseMethod maps a method name ("non", "bcr", "bpc", "brc", "binpack",
 // "coloring" or "portfolio") to its Method constant. It is the one parser
-// of method strings: prescountc, loadgen, the daemon and benchtab all call
-// it, so every surface names the methods alike.
+// of method strings: prescountc, loadgen, the daemon and the facade all
+// call it, so every surface names the methods alike.
 func ParseMethod(s string) (Method, error) {
 	for m := MethodNon; m <= MethodPortfolio; m++ {
 		if m.String() == s {

@@ -46,7 +46,7 @@ func TestPipelineSemanticsQuick(t *testing.T) {
 // over random functions on a rich 2-banked file, and where it leaves more
 // on one function, Algorithm 1 forced a node into a conflicting bank. The
 // paper claims an aggregate reduction, not per-function dominance: on the
-// four known seeds below bpc's extra conflicts are exactly its forced
+// four known seeds below, bpc's static conflicts are exactly its forced
 // nodes, with no spills, copies or bank breaks. They run every time,
 // beside a fixed quick.Check draw.
 func TestBPCNeverWorseQuick(t *testing.T) {

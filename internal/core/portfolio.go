@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"prescount/internal/conflict"
 	"prescount/internal/ir"
 	"prescount/internal/pool"
 )
@@ -28,10 +27,6 @@ var portfolioMethods = [...]Method{MethodBPC, MethodBRC, MethodBinpack, MethodCo
 // store or reload is a memory round trip, a copy is one ALU slot.
 func StaticScore(conflicts, spills, copies int) int {
 	return 4*conflicts + 2*spills + copies
-}
-
-func reportScore(r *conflict.Report) int {
-	return StaticScore(r.StaticConflicts, Spills(r), r.Copies)
 }
 
 // race compiles f once per portfolio method on at most workers goroutines
@@ -89,7 +84,7 @@ func race(ctx context.Context, f *ir.Func, opts Options, workers int) (*Result, 
 			}
 			return nil // short-circuited mid-compile
 		}
-		res[i], score[i] = r, reportScore(r.Report)
+		res[i], score[i] = r, StaticScore(r.Report.StaticConflicts, Spills(r.Report), r.Report.Copies)
 		if score[i] == 0 {
 			mu.Lock()
 			if i < zeroRank {

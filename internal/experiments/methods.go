@@ -12,10 +12,11 @@ import (
 	"prescount/internal/workload"
 )
 
-// MethodNames lists the -methods comparison columns: every single method in
-// rank order, then the portfolio.
-func MethodNames() []string {
-	return []string{"non", "bcr", "brc", "bpc", "binpack", "coloring", "portfolio"}
+// compareMethods are the -exp methods comparison columns: every single
+// method in rank order, then the portfolio.
+var compareMethods = []core.Method{
+	core.MethodNon, core.MethodBCR, core.MethodBRC, core.MethodBPC,
+	core.MethodBinpack, core.MethodColoring, core.MethodPortfolio,
 }
 
 // MethodCell is one (suite, method) cell of the benchtab -methods
@@ -55,9 +56,9 @@ type MethodComparison struct {
 func CompareMethods(suites []*workload.Suite, file bankfile.Config) (*MethodComparison, error) {
 	cache := newCache()
 	out := &MethodComparison{File: fmt.Sprint(file.Normalize())}
-	for _, name := range MethodNames() {
+	for _, m := range compareMethods {
 		for _, s := range suites {
-			cell, err := compareCell(s, file, name, cache)
+			cell, err := compareCell(s, file, m, cache)
 			if err != nil {
 				return nil, err
 			}
@@ -67,16 +68,12 @@ func CompareMethods(suites []*workload.Suite, file bankfile.Config) (*MethodComp
 	return out, nil
 }
 
-// compareCell compiles one suite under one method name.
-func compareCell(s *workload.Suite, file bankfile.Config, name string, cache *compilecache.Cache) (*MethodCell, error) {
-	method, err := core.ParseMethod(name)
-	if err != nil {
-		return nil, fmt.Errorf("methods: %w", err)
-	}
+// compareCell compiles one suite under one method.
+func compareCell(s *workload.Suite, file bankfile.Config, method core.Method, cache *compilecache.Cache) (*MethodCell, error) {
 	opts := core.Options{File: file, Method: method, Cache: cache}
 	start := time.Now()
 	results := make([]Counts, len(s.Programs))
-	err = pool.Run(context.Background(), len(s.Programs), Workers, func(_ context.Context, i int) error {
+	err := pool.Run(context.Background(), len(s.Programs), Workers, func(_ context.Context, i int) error {
 		var err error
 		results[i], err = CompileProgram(s.Programs[i], opts, true, false)
 		return err
@@ -91,7 +88,7 @@ func compareCell(s *workload.Suite, file bankfile.Config, name string, cache *co
 	}
 	cell := &MethodCell{
 		Suite:  s.Name,
-		Method: name,
+		Method: method.String(),
 		Static: total.Static,
 		Spills: total.SpillInstrs,
 		Copies: total.Copies,
