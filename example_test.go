@@ -31,6 +31,31 @@ func Example() {
 	// static conflicts: 0
 }
 
+// Example_portfolio races bpc, brc, binpack and coloring on the axpy
+// kernel and keeps the cheapest result; Result.Method names the winner.
+func Example_portfolio() {
+	b := prescount.NewBuilder("axpy")
+	base := b.IConst(0)
+	x := b.FLoad(base, 0)
+	y := b.FLoad(base, 1)
+	s := b.FAdd(x, y)
+	b.FStore(s, base, 2)
+	b.Ret()
+
+	res, err := prescount.Compile(b.Func(), prescount.Options{
+		File:   prescount.RV2(2),
+		Method: prescount.MethodPortfolio,
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("winner:", res.Method)
+	fmt.Println("static conflicts:", res.Report.StaticConflicts)
+	// Output:
+	// winner: bpc
+	// static conflicts: 0
+}
+
 // ExampleParse shows the textual MIR round trip.
 func ExampleParse() {
 	src := `func @tiny {

@@ -108,8 +108,9 @@ type Counts struct {
 	Cycles int64
 	// Funcs and Instrs describe size.
 	Funcs, Instrs int
-	// Wins counts the functions each method won, indexed by method
-	// (portfolio compiles only). It stays out of the JSON sweeps.
+	// Wins counts the functions each method won under MethodPortfolio,
+	// indexed by method. An array, unlike a map, keeps Counts comparable,
+	// and the tag keeps the sweeps' JSON schema as it was.
 	Wins [core.MethodPortfolio]int `json:"-"`
 }
 
