@@ -58,10 +58,11 @@ func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config,
 	if thres == 0 {
 		thres = DefaultTHRES
 	}
-	res := &Result{
-		BankOf:    make(map[ir.Reg]int, len(g.Nodes)),
-		FreeHints: make(map[ir.Reg]int),
-	}
+	res := &Result{FreeHints: make(map[ir.Reg]int)}
+	// bankOf holds, per VirtIndex, 1 + the bank Algorithm 1 gave the
+	// register (0: not colored yet); Result.BankOf is filled from it once,
+	// after the last component.
+	bankOf := make([]int32, len(f.VRegs))
 	tracker := pressure.NewTracker(cfg)
 	// A second tracker follows only intervals that live across a call:
 	// those can only realize their bank in the (small) callee-saved subset,
@@ -161,7 +162,7 @@ func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config,
 					nUnproc--
 				}
 
-				availBuf = availableBanks(g, res.BankOf, v, cfg.NumBanks, usedBuf, availBuf)
+				availBuf = availableBanks(g, bankOf, v, cfg.NumBanks, usedBuf, availBuf)
 				var bank int
 				switch {
 				case len(availBuf) > 0:
@@ -170,13 +171,13 @@ func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config,
 					bank = pick(allBanks, lv.IntervalOf(v))
 					res.Forced = append(res.Forced, v)
 				default:
-					bank = neighbourCostBest(g, res.BankOf, v, allBanks, costBuf)
+					bank = neighbourCostBest(g, bankOf, v, allBanks, costBuf)
 					res.Forced = append(res.Forced, v)
 				}
-				res.BankOf[v] = bank
+				bankOf[v.VirtIndex()] = int32(bank) + 1
 				commit(bank, lv.IntervalOf(v))
 				for _, n := range g.Neighbors(v) {
-					if _, colored := res.BankOf[n]; !colored && unprocessed.Has(n) && !worklist.Has(n) {
+					if bankOf[n.VirtIndex()] == 0 && unprocessed.Has(n) && !worklist.Has(n) {
 						worklist.Add(n)
 						nWork++
 					}
@@ -185,18 +186,22 @@ func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config,
 		}
 	}
 
+	res.BankOf = make(map[ir.Reg]int, len(g.Nodes))
+	for _, r := range g.Nodes {
+		if b := bankOf[r.VirtIndex()]; b != 0 {
+			res.BankOf[r] = int(b) - 1
+		}
+	}
+
 	// Free registers: FP vregs not in the RCG get balancing hints so the
 	// allocator does not pile them into one bank (paper §III-B, last
 	// paragraph).
 	if !opts.DisableFreeHints {
 		for idx, info := range f.VRegs {
-			if info.Class != ir.ClassFP {
+			if info.Class != ir.ClassFP || bankOf[idx] != 0 {
 				continue
 			}
 			r := ir.VReg(idx)
-			if _, inRCG := res.BankOf[r]; inRCG {
-				continue
-			}
 			iv := lv.IntervalOf(r)
 			if iv == nil || iv.Empty() {
 				continue
@@ -230,7 +235,7 @@ func maxConflictCost(g *rcg.Graph, set *ir.RegSet) ir.Reg {
 	bestCost := -1.0
 	first := true
 	set.ForEach(func(r ir.Reg) {
-		c := g.Cost[r]
+		c := g.Cost(r)
 		if first || c > bestCost || (c == bestCost && r < best) {
 			best, bestCost, first = r, c, false
 		}
@@ -247,7 +252,7 @@ func maxCostDegree(g *rcg.Graph, set *ir.RegSet) ir.Reg {
 	bestDeg := -1
 	first := true
 	set.ForEach(func(r ir.Reg) {
-		c, d := g.Cost[r], g.Degree(r)
+		c, d := g.Cost(r), g.Degree(r)
 		better := first || c > bestCost ||
 			(c == bestCost && d > bestDeg) ||
 			(c == bestCost && d == bestDeg && r < best)
@@ -259,13 +264,14 @@ func maxCostDegree(g *rcg.Graph, set *ir.RegSet) ir.Reg {
 }
 
 // availableBanks returns ALLCOLORS minus the banks of v's colored
-// neighbours, appending into avail[:0]; used is the caller's reusable
-// per-bank scratch (length numBanks).
-func availableBanks(g *rcg.Graph, bankOf map[ir.Reg]int, v ir.Reg, numBanks int, used []bool, avail []int) []int {
+// neighbours, appending into avail[:0]; bankOf is Algorithm 1's dense
+// 1 + bank table, used the caller's reusable per-bank scratch (length
+// numBanks).
+func availableBanks(g *rcg.Graph, bankOf []int32, v ir.Reg, numBanks int, used []bool, avail []int) []int {
 	clear(used)
 	for _, n := range g.Neighbors(v) {
-		if b, ok := bankOf[n]; ok {
-			used[b] = true
+		if b := bankOf[n.VirtIndex()]; b != 0 {
+			used[b-1] = true
 		}
 	}
 	avail = avail[:0]
@@ -282,11 +288,11 @@ func availableBanks(g *rcg.Graph, bankOf map[ir.Reg]int, v ir.Reg, numBanks int,
 // low-register-pressure branch of Algorithm 1, which minimizes the conflict
 // penalty kept in the code. cost is the caller's reusable per-bank scratch.
 // Equivalent to taking the head of the full ascending (cost, bank) ordering.
-func neighbourCostBest(g *rcg.Graph, bankOf map[ir.Reg]int, v ir.Reg, banks []int, cost []float64) int {
+func neighbourCostBest(g *rcg.Graph, bankOf []int32, v ir.Reg, banks []int, cost []float64) int {
 	clear(cost)
 	for _, n := range g.Neighbors(v) {
-		if b, ok := bankOf[n]; ok {
-			cost[b] += g.Cost[n]
+		if b := bankOf[n.VirtIndex()]; b != 0 {
+			cost[b-1] += g.Cost(n)
 		}
 	}
 	best := banks[0]

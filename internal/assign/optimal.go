@@ -85,8 +85,8 @@ func residualCost(g *rcg.Graph, comp []ir.Reg, bankOf map[ir.Reg]int) float64 {
 func fallbackComponent(g *rcg.Graph, comp []ir.Reg, numBanks int, out map[ir.Reg]int) {
 	order := append([]ir.Reg(nil), comp...)
 	sort.Slice(order, func(i, j int) bool {
-		if g.Cost[order[i]] != g.Cost[order[j]] {
-			return g.Cost[order[i]] > g.Cost[order[j]]
+		if g.Cost(order[i]) != g.Cost(order[j]) {
+			return g.Cost(order[i]) > g.Cost(order[j])
 		}
 		return order[i] < order[j]
 	})

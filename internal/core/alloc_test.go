@@ -28,17 +28,25 @@ func renderResult(r *Result) string {
 // allocator pools never leak state between compiles: the same inputs
 // compiled with pooling warm (after unrelated compiles of different sizes
 // primed every pool) render byte-identically to compiles on fresh memory
-// (scratch.SetDisabled). Runs under -race in CI, so cross-compile reuse of
-// arena words is also checked for races.
+// (scratch.SetDisabled, which the allocator pool honours too). A large
+// spilling input goes first, so the small compiles after it reuse
+// per-register tables and unions a larger function grew; the DSA file adds
+// 1024 unions and subgroup bookkeeping. Runs under -race in CI, so
+// cross-compile reuse of arena words is also checked for races.
 func TestCompileArenaByteIdentity(t *testing.T) {
 	inputs := []*ir.Func{
+		workload.RandomSized(17, 4000),
 		workload.RandomSized(7, 60),
 		workload.RandomSized(11, 400),
 		workload.RandomSized(13, 150),
 	}
+	if r, err := Compile(inputs[0], Options{File: bankfile.RV2(2), Method: MethodBRC}); err != nil || r.Alloc.SpilledVRegs == 0 {
+		t.Fatalf("the large input must spill on RV#2 (err %v)", err)
+	}
 	for _, opts := range []Options{
 		{File: bankfile.RV1(2), Method: MethodBPC},
 		{File: bankfile.RV2(2), Method: MethodBRC},
+		{File: bankfile.DSA(1024), Method: MethodBPC, Subgroups: true},
 	} {
 		compile := func(f *ir.Func) string {
 			r, err := Compile(f, opts)

@@ -439,7 +439,9 @@ func runAlloc(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Optio
 		raOpts.Record = true
 		preEntry = verify.EntryLive(work)
 	}
-	run := regalloc.Run
+	run := func(f *ir.Func, o regalloc.Options) (*regalloc.Result, error) {
+		return regalloc.RunContext(ctx, f, o)
+	}
 	switch {
 	case opts.Method == MethodBinpack:
 		run = regalloc.RunBinpack

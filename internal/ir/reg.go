@@ -70,12 +70,18 @@ func (r Reg) IsVirt() bool { return r&virtFlag != 0 }
 // IsPhys reports whether r is a physical register.
 func (r Reg) IsPhys() bool { return r != NoReg && r&virtFlag == 0 }
 
-// VirtIndex returns the dense index of a virtual register.
+// VirtIndex returns the dense index of a virtual register. It is small
+// enough to inline: every dense per-register table indexes through it.
 func (r Reg) VirtIndex() int {
 	if !r.IsVirt() {
-		panic(fmt.Sprintf("ir: VirtIndex of non-virtual register %v", r))
+		panicNotVirt(r)
 	}
 	return int(r &^ virtFlag)
+}
+
+//go:noinline
+func panicNotVirt(r Reg) {
+	panic(fmt.Sprintf("ir: VirtIndex of non-virtual register %v", r))
 }
 
 // IsGPR reports whether r is a physical GPR.

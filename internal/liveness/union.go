@@ -1,7 +1,8 @@
 package liveness
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"prescount/internal/ir"
 )
@@ -11,8 +12,9 @@ import (
 // segments tagged with their owner so evictions can be computed. Owners
 // additionally carry an insertion sequence number so ConflictsWith can
 // return them in a deterministic order: callers sum float eviction costs
-// over the result, and map-iteration order would make those sums — and
-// hence whole allocations — vary between runs of the same process.
+// over the result, so the order must be a pure function of the operation
+// sequence, or those sums — and hence whole allocations — would vary
+// between runs of the same process.
 //
 // The segment store is an interval tree in the sense of LLVM's
 // LiveIntervalUnion: a treap keyed by (segment start, insertion id), each
@@ -26,17 +28,23 @@ import (
 // implementation as the differential-testing reference; it is compiled
 // into tests only.
 //
+// Owner records (interval, sequence, first segment node) sit in a member
+// list proportional to the union's size; an OwnerIndex finds them by
+// VirtIndex. Every node also carries its owner's sequence, so sorting query
+// hits never looks an owner up. Remove and Reset cost the members they
+// touch, never the size of a function an earlier use of the union held.
+//
 // A member interval must not be mutated while it is in the union (the tree
 // indexes its segments); the allocator only inserts settled intervals.
+// Owners must be virtual registers.
 type Union struct {
-	root    *unionNode
-	members map[ir.Reg]*Interval
-	seq     map[ir.Reg]uint64
-	// segIDs holds, per owner, the tree node ids of its segments (aligned
-	// with the interval's Segments) so Remove can delete by exact key.
-	segIDs map[ir.Reg][]uint64
-	next   uint64 // insertion sequence counter
-	nextID uint64 // tree node id counter
+	root *unionNode
+	// members holds one record per owner, in no particular order (Remove
+	// moves the last record into the hole); idx finds an owner's record.
+	members []unionMember
+	idx     *OwnerIndex
+	next    uint32 // insertion sequence counter
+	nextID  uint64 // tree node id counter
 	// hits is the query scratch buffer.
 	hits []*unionNode
 
@@ -46,6 +54,46 @@ type Union struct {
 	// append-only, so outstanding node pointers never move.
 	chunks [][]unionNode
 	ci, ni int // current chunk index / next free slot in it
+}
+
+// unionMember is one owner's record: its interval, insertion sequence and
+// the first of its segment nodes (chained through unionNode.nextSeg in
+// segment order).
+type unionMember struct {
+	owner ir.Reg
+	seq   uint32
+	iv    *Interval
+	segs  *unionNode
+}
+
+// OwnerIndex finds owner records by VirtIndex for every Union that uses it.
+// A table of one int32 per virtual register, it lets a whole register file
+// of unions share one index instead of each keeping a table sized by the
+// function: a register file of 1024 unions over 10k registers would
+// otherwise hold ten million entries. The rule that makes sharing sound: a
+// register is a member of at most one union sharing the index at a time
+// (an allocator places each register in one physical register).
+type OwnerIndex struct {
+	// pos holds 1 + the position of the owner's record in the member list
+	// of the union that last inserted it, or 0. A lookup trusts an entry
+	// only if the record there names the owner, so entries left behind by
+	// Remove and Reset never need clearing.
+	pos []int32
+}
+
+func (x *OwnerIndex) lookup(r ir.Reg) int {
+	if i := r.VirtIndex(); i < len(x.pos) {
+		return int(x.pos[i]) - 1
+	}
+	return -1
+}
+
+func (x *OwnerIndex) set(r ir.Reg, pos int) {
+	i := r.VirtIndex()
+	if i >= len(x.pos) {
+		x.pos = append(x.pos, make([]int32, i+1-len(x.pos))...)
+	}
+	x.pos[i] = int32(pos + 1)
 }
 
 // newNode returns a zeroed node from the arena, growing it on demand.
@@ -69,85 +117,102 @@ func (u *Union) newNode() *unionNode {
 
 type unionNode struct {
 	left, right *unionNode
-	start, end  int
-	maxEnd      int
-	owner       ir.Reg
-	id          uint64
-	prio        uint64
+	// nextSeg is the owner's next segment node, in segment order.
+	nextSeg    *unionNode
+	start, end int
+	maxEnd     int
+	owner      ir.Reg
+	seq        uint32 // the owner's insertion sequence
+	id         uint64
+	prio       uint64
 }
 
-// NewUnion returns an empty interval union. The zero Union value is also
-// ready to use (maps are initialized lazily on first Insert), which lets
-// the allocator keep one []Union value slab per register file instead of
-// one heap object plus three maps per physical register.
-func NewUnion() *Union {
-	return &Union{
-		members: make(map[ir.Reg]*Interval),
-		seq:     make(map[ir.Reg]uint64),
-		segIDs:  make(map[ir.Reg][]uint64),
-	}
-}
+// NewUnion returns an empty interval union with its own OwnerIndex. The
+// zero Union value is also ready to use (it creates its index on first
+// Insert), which lets the allocator keep one []Union value slab per
+// register file; UseIndex makes the slab share one index.
+func NewUnion() *Union { return &Union{idx: new(OwnerIndex)} }
 
-// Reset empties the union for reuse, keeping the map storage (and its
-// buckets) but dropping the tree. Pooled owners/intervals from the previous
-// use are cleared so nothing is retained across compiles.
+// UseIndex makes the union find its owners through x, which other unions
+// may share (see OwnerIndex for the rule sharing needs). Call it while the
+// union is empty.
+func (u *Union) UseIndex(x *OwnerIndex) { u.idx = x }
+
+// Reset empties the union for reuse, keeping its member list and node
+// arena. It clears the current members only, dropping their interval
+// pointers so nothing is retained across compiles.
 func (u *Union) Reset() {
-	u.root = nil
 	clear(u.members)
-	clear(u.seq)
-	clear(u.segIDs)
+	u.members = u.members[:0]
+	u.root = nil
 	u.next = 0
 	u.nextID = 0
 	u.hits = u.hits[:0]
 	u.ci, u.ni = 0, 0
 }
 
+// find returns the position of owner's record, or -1.
+func (u *Union) find(owner ir.Reg) int {
+	if u.idx == nil {
+		return -1
+	}
+	if i := u.idx.lookup(owner); i >= 0 && i < len(u.members) && u.members[i].owner == owner {
+		return i
+	}
+	return -1
+}
+
 // Insert adds an interval under the given owner key, replacing any interval
 // the owner already holds (the original sequence number is kept, as before:
 // replacement does not reorder eviction candidates).
 func (u *Union) Insert(owner ir.Reg, iv *Interval) {
-	if u.members == nil {
-		u.members = make(map[ir.Reg]*Interval)
-		u.seq = make(map[ir.Reg]uint64)
-		u.segIDs = make(map[ir.Reg][]uint64)
+	if u.idx == nil {
+		u.idx = new(OwnerIndex)
 	}
-	if _, ok := u.members[owner]; ok {
-		u.removeSegments(owner)
-	}
-	u.members[owner] = iv
-	if _, ok := u.seq[owner]; !ok {
-		u.seq[owner] = u.next
+	i := u.find(owner)
+	if i >= 0 {
+		u.removeSegments(&u.members[i])
+	} else {
+		i = len(u.members)
+		u.members = append(u.members, unionMember{owner: owner, seq: u.next})
 		u.next++
+		u.idx.set(owner, i)
 	}
-	ids := u.segIDs[owner][:0]
+	m := &u.members[i]
+	m.iv = iv
+	link := &m.segs
 	for _, s := range iv.Segments {
 		id := u.nextID
 		u.nextID++
 		n := u.newNode()
-		*n = unionNode{start: s.Start, end: s.End, maxEnd: s.End, owner: owner, id: id, prio: splitmix64(id)}
+		*n = unionNode{start: s.Start, end: s.End, maxEnd: s.End, owner: owner, seq: m.seq, id: id, prio: splitmix64(id)}
 		u.root = treapInsert(u.root, n)
-		ids = append(ids, id)
+		*link = n
+		link = &n.nextSeg
 	}
-	u.segIDs[owner] = ids
 }
 
 // Remove deletes the owner's interval.
 func (u *Union) Remove(owner ir.Reg) {
-	if _, ok := u.members[owner]; !ok {
+	i := u.find(owner)
+	if i < 0 {
 		return
 	}
-	u.removeSegments(owner)
-	delete(u.members, owner)
-	delete(u.seq, owner)
-	delete(u.segIDs, owner)
+	u.removeSegments(&u.members[i])
+	last := len(u.members) - 1
+	if i != last {
+		u.members[i] = u.members[last]
+		u.idx.set(u.members[i].owner, i)
+	}
+	u.members[last] = unionMember{}
+	u.members = u.members[:last]
 }
 
-func (u *Union) removeSegments(owner ir.Reg) {
-	iv := u.members[owner]
-	ids := u.segIDs[owner]
-	for i, s := range iv.Segments {
-		u.root = treapDelete(u.root, s.Start, ids[i])
+func (u *Union) removeSegments(m *unionMember) {
+	for n := m.segs; n != nil; n = n.nextSeg {
+		u.root = treapDelete(u.root, n.start, n.id)
 	}
+	m.segs = nil
 }
 
 // Len returns the number of member intervals.
@@ -182,12 +247,12 @@ func (u *Union) ConflictsWithAppend(dst []ir.Reg, iv *Interval) []ir.Reg {
 	}
 	// The same owner can be hit through several of its segments and several
 	// probe segments; sorting by sequence groups the duplicates adjacently.
-	sort.Slice(u.hits, func(i, j int) bool {
-		si, sj := u.seq[u.hits[i].owner], u.seq[u.hits[j].owner]
-		if si != sj {
-			return si < sj
+	// Node ids are unique, so the order is total.
+	slices.SortFunc(u.hits, func(a, b *unionNode) int {
+		if a.seq != b.seq {
+			return cmp.Compare(a.seq, b.seq)
 		}
-		return u.hits[i].id < u.hits[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	for i, n := range u.hits {
 		if i > 0 && u.hits[i-1].owner == n.owner {

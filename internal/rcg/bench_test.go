@@ -50,8 +50,8 @@ func (g *Graph) componentsFreshSort() [][]ir.Reg {
 	maxCost := func(comp []ir.Reg) float64 {
 		m := 0.0
 		for _, r := range comp {
-			if g.Cost[r] > m {
-				m = g.Cost[r]
+			if g.Cost(r) > m {
+				m = g.Cost(r)
 			}
 		}
 		return m

@@ -8,6 +8,7 @@
 package rcg
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -15,192 +16,244 @@ import (
 	"prescount/internal/ir"
 )
 
-// Graph is the annotated register conflict graph. Internally it is stored
-// flat — one packed-pair edge map plus slab-backed adjacency and site lists
-// — so building it costs a handful of bulk allocations instead of one map
-// and many small slices per node.
+// Graph is the annotated register conflict graph. It is stored dense: a
+// node index per virtual register, node-indexed Cost_R and site lists, and
+// CSR adjacency with the edge weights beside it, so building it costs a
+// handful of bulk allocations and every query is a slice index — no map.
 type Graph struct {
-	// Nodes lists conflicting registers in increasing dense-index order.
+	// Nodes lists conflicting registers in increasing dense-index order. A
+	// register's position in Nodes is its node index.
 	Nodes []ir.Reg
-	// Cost maps register to Cost_R (Equation 2): the summed Cost_I of all
-	// conflict-relevant instructions reading it.
-	Cost map[ir.Reg]float64
-	// Sites records, per register, the conflict-relevant instructions
-	// reading it (for diagnostics and the bcr baseline). The slices share
-	// one backing slab; callers must not mutate them.
-	Sites map[ir.Reg][]*ir.Instr
 
-	// idx maps a register to its dense node index (first-sight order during
-	// Build; only used internally, adjacency is exposed sorted).
-	idx map[ir.Reg]int32
-	// edgeW holds the accumulated Cost_I per undirected edge, keyed by the
-	// packed (min, max) register pair.
-	edgeW map[uint64]float64
+	// idx holds, per VirtIndex, 1 + the register's node index (0: not a
+	// node).
+	idx []int32
+	// cost is Cost_R per node (Equation 2): the summed Cost_I of all
+	// conflict-relevant instructions reading the register.
+	cost []float64
+	// Node i's conflict-relevant reading instructions are
+	// siteSlab[siteOff[i]:siteOff[i+1]], in block and instruction order.
+	siteOff  []int32
+	siteSlab []*ir.Instr
 	// nbOff/nbSlab are the CSR-style adjacency: node i's neighbours are
-	// nbSlab[nbOff[i]:nbOff[i+1]], sorted increasing. Built once at the end
-	// of Build; Neighbors hands out these slices directly and callers must
-	// not mutate them.
-	nbOff  []int32
-	nbSlab []ir.Reg
+	// nbSlab[nbOff[i]:nbOff[i+1]], sorted increasing, and nbW holds the
+	// matching edge weights (accumulated Cost_I). Neighbors hands out these
+	// slices directly and callers must not mutate them.
+	nbOff    []int32
+	nbSlab   []ir.Reg
+	nbW      []float64
+	numEdges int
 }
 
-func packEdge(a, b ir.Reg) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
+// edgeOcc is one edge between nodes lo < hi with weight w: an occurrence
+// while Build reads instructions, a merged edge afterwards.
+type edgeOcc struct {
+	lo, hi int32
+	w      float64
 }
 
 // Build constructs the RCG of f using the cost model from cf.
 // Only virtual FP registers participate; physical operands (already fixed)
 // are ignored, matching a pre-allocation assigner.
 func Build(f *ir.Func, cf *cfg.Info) *Graph {
-	g := &Graph{
-		Cost:  make(map[ir.Reg]float64),
-		idx:   make(map[ir.Reg]int32),
-		edgeW: make(map[uint64]float64),
-	}
-	var scratch []ir.Reg // reused across instructions by appendVirtFPUses
+	g := &Graph{idx: make([]int32, len(f.VRegs))}
+	var uses []ir.Reg // reused across instructions by conflictUses
+
+	// Pass 1: count each register's conflict sites (in idx for now); the
+	// registers with any are the nodes.
 	nSites := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if uses = conflictUses(uses[:0], in); len(uses) < 2 {
+				continue
+			}
+			for _, r := range uses {
+				g.idx[r.VirtIndex()]++
+			}
+			nSites += len(uses)
+		}
+	}
+	// Number the nodes in register order and cut their site ranges.
+	g.siteOff = []int32{0}
+	for vi, cnt := range g.idx {
+		if cnt == 0 {
+			continue
+		}
+		g.Nodes = append(g.Nodes, ir.VReg(vi))
+		g.siteOff = append(g.siteOff, g.siteOff[len(g.siteOff)-1]+cnt)
+		g.idx[vi] = int32(len(g.Nodes))
+	}
+	n := len(g.Nodes)
+
+	// Pass 2: Cost_R, site lists and edge occurrences, each in block and
+	// instruction order.
+	g.cost = make([]float64, n)
+	g.siteSlab = make([]*ir.Instr, nSites)
+	fill := slices.Clone(g.siteOff[:n])
+	var occ []edgeOcc
 	for _, b := range f.Blocks {
 		cost := cf.InstrCost(b)
 		for _, in := range b.Instrs {
-			if !in.IsConflictRelevant() {
+			if uses = conflictUses(uses[:0], in); len(uses) < 2 {
 				continue
 			}
-			fpUses := appendVirtFPUses(scratch[:0], in)
-			scratch = fpUses
-			if len(fpUses) < 2 {
-				continue // fewer than two *virtual* FP reads: nothing to color
+			for _, r := range uses {
+				i := g.idx[r.VirtIndex()] - 1
+				g.cost[i] += cost
+				g.siteSlab[fill[i]] = in
+				fill[i]++
 			}
-			for _, r := range fpUses {
-				if _, ok := g.idx[r]; !ok {
-					g.idx[r] = int32(len(g.Nodes))
-					g.Nodes = append(g.Nodes, r)
-				}
-				g.Cost[r] += cost
-			}
-			nSites += len(fpUses)
-			for i := 0; i < len(fpUses); i++ {
-				for j := i + 1; j < len(fpUses); j++ {
-					if fpUses[i] != fpUses[j] {
-						g.edgeW[packEdge(fpUses[i], fpUses[j])] += cost
+			for x := 0; x < len(uses); x++ {
+				for y := x + 1; y < len(uses); y++ {
+					lo, hi := g.idx[uses[x].VirtIndex()]-1, g.idx[uses[y].VirtIndex()]-1
+					if lo > hi {
+						lo, hi = hi, lo
 					}
+					occ = append(occ, edgeOcc{lo, hi, cost})
 				}
 			}
 		}
 	}
-	n := len(g.Nodes)
+	edges := mergeEdges(occ, n)
+	g.numEdges = len(edges)
 
-	// Adjacency: count degrees, prefix-sum into offsets, fill from the edge
-	// map (iteration order is irrelevant — every list is sorted afterwards),
-	// all in two slab allocations.
+	// Adjacency: count degrees, prefix-sum into offsets, then fill. edges is
+	// grouped by ascending lo and sorted by hi within a group, so filling in
+	// that order leaves every node's list sorted: first the lower
+	// neighbours (earlier groups), then the higher ones (its own group).
 	g.nbOff = make([]int32, n+1)
-	for e := range g.edgeW {
-		g.nbOff[g.idx[ir.Reg(e>>32)]+1]++
-		g.nbOff[g.idx[ir.Reg(e&0xffffffff)]+1]++
+	for _, e := range edges {
+		g.nbOff[e.lo+1]++
+		g.nbOff[e.hi+1]++
 	}
 	for i := 0; i < n; i++ {
 		g.nbOff[i+1] += g.nbOff[i]
 	}
 	g.nbSlab = make([]ir.Reg, g.nbOff[n])
-	cursor := make([]int32, n)
-	for e := range g.edgeW {
-		a, b := ir.Reg(e>>32), ir.Reg(e&0xffffffff)
-		ia, ib := g.idx[a], g.idx[b]
-		g.nbSlab[g.nbOff[ia]+cursor[ia]] = b
-		cursor[ia]++
-		g.nbSlab[g.nbOff[ib]+cursor[ib]] = a
-		cursor[ib]++
+	g.nbW = make([]float64, g.nbOff[n])
+	copy(fill, g.nbOff[:n])
+	for _, e := range edges {
+		g.nbSlab[fill[e.lo]], g.nbW[fill[e.lo]] = g.Nodes[e.hi], e.w
+		fill[e.lo]++
+		g.nbSlab[fill[e.hi]], g.nbW[fill[e.hi]] = g.Nodes[e.lo], e.w
+		fill[e.hi]++
 	}
-	for i := 0; i < n; i++ {
-		slices.Sort(g.nbSlab[g.nbOff[i]:g.nbOff[i+1]])
-	}
-
-	// Site lists: counted fill into one shared slab, same block/instruction
-	// order as the accumulation pass.
-	siteCnt := make([]int32, n+1)
-	siteSlab := make([]*ir.Instr, nSites)
-	g.Sites = make(map[ir.Reg][]*ir.Instr, n)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if !in.IsConflictRelevant() {
-				continue
-			}
-			fpUses := appendVirtFPUses(scratch[:0], in)
-			scratch = fpUses
-			if len(fpUses) < 2 {
-				continue
-			}
-			for _, r := range fpUses {
-				siteCnt[g.idx[r]+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		siteCnt[i+1] += siteCnt[i]
-	}
-	fill := make([]int32, n)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if !in.IsConflictRelevant() {
-				continue
-			}
-			fpUses := appendVirtFPUses(scratch[:0], in)
-			scratch = fpUses
-			if len(fpUses) < 2 {
-				continue
-			}
-			for _, r := range fpUses {
-				i := g.idx[r]
-				siteSlab[siteCnt[i]+fill[i]] = in
-				fill[i]++
-			}
-		}
-	}
-	for r, i := range g.idx {
-		g.Sites[r] = siteSlab[siteCnt[i]:siteCnt[i+1]:siteCnt[i+1]]
-	}
-
-	slices.Sort(g.Nodes)
 	return g
 }
 
-// appendVirtFPUses appends the distinct virtual FP register reads of in to
-// out (typically a reused scratch buffer sliced to length 0).
-func appendVirtFPUses(out []ir.Reg, in *ir.Instr) []ir.Reg {
+// mergeEdges merges the edge occurrences of n nodes into one edge per
+// node pair, grouped by ascending lo and sorted by hi within each group.
+// Occurrences are grouped by a stable counting sort, so each edge's weight
+// sums its occurrences in their original (program) order.
+func mergeEdges(occ []edgeOcc, n int) []edgeOcc {
+	off := make([]int32, n+1)
+	for _, o := range occ {
+		off[o.lo+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	byLo := make([]edgeOcc, len(occ))
+	for _, o := range occ {
+		byLo[off[o.lo]] = o
+		off[o.lo]++
+	}
+	// at[hi] is 1 + the position of edge (lo, hi) in edges while group lo
+	// is being merged; positions from earlier groups fall below start.
+	at := make([]int32, n)
+	edges := make([]edgeOcc, 0, len(occ))
+	for from := 0; from < len(byLo); {
+		lo, start := byLo[from].lo, len(edges)
+		to := from
+		for ; to < len(byLo) && byLo[to].lo == lo; to++ {
+			o := byLo[to]
+			if k := int(at[o.hi]) - 1; k >= start {
+				edges[k].w += o.w
+				continue
+			}
+			at[o.hi] = int32(len(edges) + 1)
+			edges = append(edges, o)
+		}
+		slices.SortFunc(edges[start:], func(a, b edgeOcc) int { return cmp.Compare(a.hi, b.hi) })
+		from = to
+	}
+	return edges
+}
+
+// conflictUses appends the distinct virtual FP register reads of a
+// conflict-relevant instruction to out (typically a reused scratch buffer
+// sliced to length 0); other instructions contribute none.
+func conflictUses(out []ir.Reg, in *ir.Instr) []ir.Reg {
+	if !in.IsConflictRelevant() {
+		return out
+	}
 	for i, u := range in.Uses {
 		if in.Op.UseClass(i) != ir.ClassFP || !u.IsVirt() {
 			continue
 		}
-		dup := false
-		for _, o := range out {
-			if o == u {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, u) {
 			out = append(out, u)
 		}
 	}
 	return out
 }
 
-// HasEdge reports whether a and b conflict.
-func (g *Graph) HasEdge(a, b ir.Reg) bool {
-	_, ok := g.edgeW[packEdge(a, b)]
-	return ok
+// index returns r's node index, or -1 if r is not a node.
+func (g *Graph) index(r ir.Reg) int {
+	if !r.IsVirt() || r.VirtIndex() >= len(g.idx) {
+		return -1
+	}
+	return int(g.idx[r.VirtIndex()]) - 1
 }
 
+// Cost returns Cost_R of r (Equation 2), or 0 if r is not a node.
+func (g *Graph) Cost(r ir.Reg) float64 {
+	if i := g.index(r); i >= 0 {
+		return g.cost[i]
+	}
+	return 0
+}
+
+// Sites returns the conflict-relevant instructions reading r, in block and
+// instruction order (for diagnostics and the bcr baseline). The slices
+// share one backing slab; callers must not mutate them.
+func (g *Graph) Sites(r ir.Reg) []*ir.Instr {
+	i := g.index(r)
+	if i < 0 {
+		return nil
+	}
+	return g.siteSlab[g.siteOff[i]:g.siteOff[i+1]:g.siteOff[i+1]]
+}
+
+// edge returns the position of edge (a, b) in the adjacency slabs, or -1.
+func (g *Graph) edge(a, b ir.Reg) int {
+	i := g.index(a)
+	if i < 0 {
+		return -1
+	}
+	lo, hi := int(g.nbOff[i]), int(g.nbOff[i+1])
+	if k, ok := slices.BinarySearch(g.nbSlab[lo:hi], b); ok {
+		return lo + k
+	}
+	return -1
+}
+
+// HasEdge reports whether a and b conflict.
+func (g *Graph) HasEdge(a, b ir.Reg) bool { return g.edge(a, b) >= 0 }
+
 // EdgeWeight returns the accumulated Cost_I of the edge (0 if absent).
-func (g *Graph) EdgeWeight(a, b ir.Reg) float64 { return g.edgeW[packEdge(a, b)] }
+func (g *Graph) EdgeWeight(a, b ir.Reg) float64 {
+	if k := g.edge(a, b); k >= 0 {
+		return g.nbW[k]
+	}
+	return 0
+}
 
 // Neighbors returns the conflict neighbours of r in sorted order. The
 // returned slice is the slab built by Build and must not be mutated.
 func (g *Graph) Neighbors(r ir.Reg) []ir.Reg {
-	i, ok := g.idx[r]
-	if !ok {
+	i := g.index(r)
+	if i < 0 {
 		return nil
 	}
 	return g.nbSlab[g.nbOff[i]:g.nbOff[i+1]]
@@ -210,7 +263,7 @@ func (g *Graph) Neighbors(r ir.Reg) []ir.Reg {
 func (g *Graph) Degree(r ir.Reg) int { return len(g.Neighbors(r)) }
 
 // NumEdges returns the number of undirected conflict edges.
-func (g *Graph) NumEdges() int { return len(g.edgeW) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Components returns the connected components of the RCG, each sorted by
 // register, with components ordered by decreasing maximum Cost_R (ties by
@@ -223,19 +276,19 @@ func (g *Graph) Components() [][]ir.Reg {
 	slab := make([]ir.Reg, 0, n)
 	var comps [][]ir.Reg
 	var stack []ir.Reg
-	for _, start := range g.Nodes {
-		if seen[g.idx[start]] {
+	for si, start := range g.Nodes {
+		if seen[si] {
 			continue
 		}
 		from := len(slab)
 		stack = append(stack[:0], start)
-		seen[g.idx[start]] = true
+		seen[si] = true
 		for len(stack) > 0 {
 			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			slab = append(slab, r)
 			for _, nb := range g.Neighbors(r) {
-				if i := g.idx[nb]; !seen[i] {
+				if i := g.index(nb); !seen[i] {
 					seen[i] = true
 					stack = append(stack, nb)
 				}
@@ -248,8 +301,8 @@ func (g *Graph) Components() [][]ir.Reg {
 	maxCost := func(comp []ir.Reg) float64 {
 		m := 0.0
 		for _, r := range comp {
-			if g.Cost[r] > m {
-				m = g.Cost[r]
+			if c := g.Cost(r); c > m {
+				m = c
 			}
 		}
 		return m

@@ -76,13 +76,13 @@ func TestCostModelWeighsLoops(t *testing.T) {
 	g := build(t, f)
 	// b participates in two hot instructions (cost 100 each); e only in one
 	// cold instruction (cost 1).
-	if g.Cost[regs["b"]] < 100 {
-		t.Errorf("Cost(b) = %g, want >= 100 (hot loop)", g.Cost[regs["b"]])
+	if g.Cost(regs["b"]) < 100 {
+		t.Errorf("Cost(b) = %g, want >= 100 (hot loop)", g.Cost(regs["b"]))
 	}
-	if g.Cost[regs["e"]] > 10 {
-		t.Errorf("Cost(e) = %g, want small (cold)", g.Cost[regs["e"]])
+	if g.Cost(regs["e"]) > 10 {
+		t.Errorf("Cost(e) = %g, want small (cold)", g.Cost(regs["e"]))
 	}
-	if g.Cost[regs["b"]] <= g.Cost[regs["e"]] {
+	if g.Cost(regs["b"]) <= g.Cost(regs["e"]) {
 		t.Error("hot register must out-cost cold register")
 	}
 	// Edge weights: b-c edge is hot, d-e cold.
@@ -106,14 +106,14 @@ func TestCostEquation2Sums(t *testing.T) {
 	bd.Ret()
 	f := bd.Func()
 	g := build(t, f)
-	if got := g.Cost[x]; got != 2 {
+	if got := g.Cost(x); got != 2 {
 		t.Errorf("Cost(x) = %g, want 2 (two cost-1 sites)", got)
 	}
-	if got := g.Cost[y]; got != 1 {
+	if got := g.Cost(y); got != 1 {
 		t.Errorf("Cost(y) = %g, want 1", got)
 	}
-	if len(g.Sites[x]) != 2 {
-		t.Errorf("Sites(x) = %d, want 2", len(g.Sites[x]))
+	if len(g.Sites(x)) != 2 {
+		t.Errorf("Sites(x) = %d, want 2", len(g.Sites(x)))
 	}
 }
 

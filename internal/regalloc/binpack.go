@@ -173,6 +173,9 @@ type binpack struct {
 	fpScratch, gprScratch []int
 
 	fpUnions, gprUnions []liveness.Union
+	// unionIndex finds union members for every union: each piece key
+	// sits in one union at a time.
+	unionIndex liveness.OwnerIndex
 
 	// pieces holds each register's placed residencies in slot order.
 	pieces map[ir.Reg][]bpPiece
@@ -194,6 +197,11 @@ func (bp *binpack) reset() {
 	}
 	bp.fpUnions = make([]liveness.Union, bp.opts.Cfg.NumRegs)
 	bp.gprUnions = make([]liveness.Union, numGPRFile)
+	for _, us := range [][]liveness.Union{bp.fpUnions, bp.gprUnions} {
+		for i := range us {
+			us[i].UseIndex(&bp.unionIndex)
+		}
+	}
 	bp.pieces = make(map[ir.Reg][]bpPiece, len(bp.f.VRegs))
 	bp.pieceOwner = map[ir.Reg]ir.Reg{}
 	bp.nextKey = len(bp.f.VRegs)

@@ -125,9 +125,7 @@ func RunColoring(ctx context.Context, f *ir.Func, opts Options) (*Result, error)
 	}
 
 	if opts.Record {
-		record(ls.res, f, ls.lv,
-			func(r ir.Reg) (int, bool) { p, ok := ls.assignment[r]; return p, ok },
-			ls.lv.IntervalOf, ls.spillSlot)
+		record(ls.res, f, ls.lv, mapLookup(ls.assignment), ls.lv.IntervalOf, mapLookup(ls.spillSlot))
 	}
 	ls.materialize()
 	f.MarkMutated()

@@ -94,16 +94,12 @@ func (a *allocator) bpcCandidates(r ir.Reg) (cands []int, whole bool) {
 	cfg := a.opts.Cfg
 	// Spill pseudo-registers inherit the bank of the register they stand
 	// in for, so reload/store sites keep the RCG coloring.
-	if parent, ok := a.pseudoParent[r]; ok {
-		r = parent
-	}
-	bank, haveBank := a.opts.BankOf[r]
-	if !haveBank {
-		bank, haveBank = a.opts.FreeHints[r]
-	}
-	if !haveBank {
+	r = a.hintSource(r)
+	hint := a.bankHint.get(r)
+	if hint == 0 {
 		return allocOrder(cfg.NumRegs), true
 	}
+	bank := int(hint) - 1
 	displ := -1
 	if cfg.HasSubgroups() {
 		displ = a.subgroupDispl(r)
@@ -122,11 +118,18 @@ func (a *allocator) bpcCandidates(r ir.Reg) (cands []int, whole bool) {
 // the per-instruction avoidance of the bcr heuristic, so a broken bank
 // assignment still dodges the hottest conflict partner.
 func (a *allocator) bpcTail(r ir.Reg) []int {
-	if parent, ok := a.pseudoParent[r]; ok {
-		r = parent
-	}
-	a.addCandidates(a.bcrCandidates(r))
+	a.addCandidates(a.bcrCandidates(a.hintSource(r)))
 	return a.candOut
+}
+
+// hintSource resolves an allocator-created register (spill pseudo or split
+// child) to the register it stands in for; other registers are their own
+// source.
+func (a *allocator) hintSource(r ir.Reg) ir.Reg {
+	if parent := a.pseudoParent.get(r); parent != ir.NoReg {
+		return parent
+	}
+	return r
 }
 
 // addCandidates appends the registers of regs not yet in the list.
@@ -142,29 +145,24 @@ func (a *allocator) addCandidates(regs []int) {
 // subgroupDispl implements Algorithm 2's displacement bookkeeping: the
 // register's SDG group receives the least-used subgroup the first time any
 // member allocates, and every member afterwards reuses it. Split-generated
-// registers absent from the group map fall back to the least-used subgroup
+// registers with no SDG group fall back to the least-used subgroup
 // individually.
 func (a *allocator) subgroupDispl(r ir.Reg) int {
-	group, ok := a.opts.SubgroupGroups[r]
-	if !ok {
+	g := a.groupOf.get(r)
+	if g == 0 {
 		// Handle split-generated or free registers: balance individually.
 		d := a.minUsedSubgroup()
 		a.usage[d]++
 		return d
 	}
+	group := int(g) - 1
 	if d, ok := a.res.GroupDispl[group]; ok {
 		return d
 	}
 	d := a.minUsedSubgroup()
 	a.res.GroupDispl[group] = d
 	// Increase the usage of the subgroup by the group's size.
-	size := 0
-	for _, g := range a.opts.SubgroupGroups {
-		if g == group {
-			size++
-		}
-	}
-	a.usage[d] += size
+	a.usage[d] += a.groupSize[group]
 	return d
 }
 
@@ -191,9 +189,7 @@ func (a *allocator) minUsedSubgroup() int {
 // conflicts, §IV-A2).
 func (a *allocator) bcrCandidates(r ir.Reg) []int {
 	cfg := a.opts.Cfg
-	if parent, ok := a.pseudoParent[r]; ok {
-		r = parent
-	}
+	r = a.hintSource(r)
 	site := a.hottestConflictSite(r)
 	if cap(a.bcrAvoid) < cfg.NumBanks {
 		a.bcrAvoid = make([]bool, cfg.NumBanks)
@@ -208,7 +204,7 @@ func (a *allocator) bcrCandidates(r ir.Reg) []int {
 			if site.Op.UseClass(i) != ir.ClassFP || u == r || !u.IsVirt() {
 				continue
 			}
-			if p, ok := a.assignment[u]; ok {
+			if p, ok := a.physIndex(u); ok {
 				avoid[cfg.Bank(p)] = true
 				any = true
 			}
@@ -236,9 +232,10 @@ func (a *allocator) bcrCandidates(r ir.Reg) []int {
 // whose enclosing block has the highest estimated frequency (the site a
 // single-instruction heuristic would optimize for), or nil.
 func (a *allocator) hottestConflictSite(r ir.Reg) *ir.Instr {
-	if a.conflictSites == nil {
-		a.conflictSites = map[ir.Reg]*ir.Instr{}
-		bestCost := map[ir.Reg]float64{}
+	if !a.sitesBuilt {
+		a.sitesBuilt = true
+		a.conflictSite.reset(len(a.f.VRegs))
+		a.siteCost.reset(len(a.f.VRegs))
 		for _, b := range a.f.Blocks {
 			cost := a.cf.InstrCost(b)
 			for _, in := range b.Instrs {
@@ -249,15 +246,15 @@ func (a *allocator) hottestConflictSite(r ir.Reg) *ir.Instr {
 					if in.Op.UseClass(i) != ir.ClassFP || !u.IsVirt() {
 						continue
 					}
-					if _, seen := a.conflictSites[u]; !seen || cost > bestCost[u] {
-						a.conflictSites[u] = in
-						bestCost[u] = cost
+					if a.conflictSite.get(u) == nil || cost > a.siteCost.get(u) {
+						a.conflictSite.set(u, in)
+						a.siteCost.set(u, cost)
 					}
 				}
 			}
 		}
 	}
-	return a.conflictSites[r]
+	return a.conflictSite.get(r)
 }
 
 // banksSorted returns bank indexes ordered ascending (helper for tests).

@@ -75,8 +75,7 @@ func RunLinearScan(f *ir.Func, opts Options) (*Result, error) {
 	ls.scan(ir.ClassFP)
 	ls.scan(ir.ClassGPR)
 	if opts.Record {
-		record(ls.res, f, ls.lv, func(r ir.Reg) (int, bool) { p, ok := ls.assignment[r]; return p, ok },
-			ls.lv.IntervalOf, ls.spillSlot)
+		record(ls.res, f, ls.lv, mapLookup(ls.assignment), ls.lv.IntervalOf, mapLookup(ls.spillSlot))
 	}
 	ls.materialize()
 	f.MarkMutated()

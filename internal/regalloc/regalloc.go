@@ -22,6 +22,7 @@
 package regalloc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -190,21 +191,44 @@ type Result struct {
 // numGPRFile is the GPR file size used for the scalar class.
 const numGPRFile = ir.NumGPR
 
-// allocPool recycles allocator state — maps, union slabs, scratch buffers —
-// across Run invocations. release() clears every per-compile reference
-// before returning the allocator, so the pool never retains IR from a
-// previous function; steady-state module compiles and sweeps then run the
-// allocator nearly allocation-free apart from the Result itself.
+// allocPool recycles allocator state — per-register tables, union slabs,
+// scratch buffers — across Run invocations. release() clears every
+// per-compile reference before returning the allocator, so the pool never
+// retains IR from a previous function; steady-state module compiles and
+// sweeps then run the allocator nearly allocation-free apart from the
+// Result itself. scratch.SetDisabled turns the pool off, so fresh-memory
+// compiles really run on fresh allocators.
 var allocPool = sync.Pool{New: func() any { return new(allocator) }}
+
+// greedyCtxStride is how many assignOne iterations pass between context
+// checks in RunContext. One iteration costs microseconds, up to a
+// function-wide scan when it spills, so the check costs nothing measurable
+// and bounds the overshoot past a deadline to a few iterations' work.
+const greedyCtxStride = 16
 
 // Run allocates f onto physical registers in place and returns statistics.
 func Run(f *ir.Func, opts Options) (*Result, error) {
+	return RunContext(context.Background(), f, opts)
+}
+
+// RunContext is Run under a context: the allocation loop checks ctx every
+// greedyCtxStride assignOne iterations and, once it is done, abandons the
+// allocation with an error wrapping ctx.Err(). Like any failed run, a
+// cancelled one may leave allocator-created registers and spill slots in f,
+// so the caller discards f (core compiles a clone). The context never
+// changes an allocation, only whether one is returned.
+func RunContext(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	opts.Cfg = opts.Cfg.Normalize()
 	if err := opts.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := allocPool.Get().(*allocator)
-	a.init(f, opts)
+	var a *allocator
+	if scratch.Disabled() {
+		a = new(allocator)
+	} else {
+		a = allocPool.Get().(*allocator)
+	}
+	a.init(ctx, f, opts)
 	err := a.run()
 	res := a.res
 	a.release()
@@ -215,6 +239,7 @@ func Run(f *ir.Func, opts Options) (*Result, error) {
 }
 
 type allocator struct {
+	ctx  context.Context
 	f    *ir.Func
 	opts Options
 	res  *Result
@@ -229,41 +254,67 @@ type allocator struct {
 	fpUnions  []liveness.Union
 	gprUnions []liveness.Union
 
-	// assignment maps vreg -> physical index within its class file.
-	assignment map[ir.Reg]int
-	// intervals can be overridden for spill pseudo-registers whose ranges
-	// are synthesized rather than computed.
-	override map[ir.Reg]*liveness.Interval
-	// weight overrides (spill children are infinite).
-	weightOverride map[ir.Reg]float64
-	// spillSlot maps spilled vreg -> stack slot.
-	spillSlot map[ir.Reg]int
+	// unionIndex finds union members by VirtIndex for both register files:
+	// a register sits in at most one union at a time.
+	unionIndex liveness.OwnerIndex
+
+	// The per-register state below is dense by VirtIndex (vregTable, or a
+	// RegSet for flags). Tables are sized from len(f.VRegs) in init and
+	// grow as spill pseudos and split children are created.
+	//
+	// assigned holds 1 + the physical index within the class file (0:
+	// unassigned).
+	assigned vregTable[int32]
+	// override holds the intervals that replace liveness's: synthesized
+	// ranges of spill pseudos and split children, and the shrunken
+	// remainder of a split parent (nil: use liveness).
+	override vregTable[*liveness.Interval]
+	// pinned marks spill pseudos and split children: their weight is
+	// infinite, so they must get a register and may evict anything finite.
+	pinned ir.RegSet
+	// spillSlot holds 1 + the stack slot of a spilled vreg (0: none).
+	spillSlot vregTable[int32]
 	// sitePseudo maps (instr, spilled vreg, isDef) -> pseudo vreg.
 	sitePseudo map[siteKey]ir.Reg
 	// spilled marks vregs already spilled (cannot spill twice).
 	spilled ir.RegSet
-	// remat maps rematerializable spilled vregs to their constant-producing
-	// definition.
-	remat map[ir.Reg]*ir.Instr
-	// pseudoParent maps a spill pseudo-register to the spilled register it
+	// remat holds the constant-producing definition of a rematerializable
+	// spilled vreg.
+	remat vregTable[*ir.Instr]
+	// pseudoParent holds the spilled register a spill pseudo-register
 	// stands in for; hint lookups resolve through it (the paper's
 	// Algorithm 2 handles such allocator-created registers explicitly).
-	pseudoParent map[ir.Reg]ir.Reg
-	// spanMembers maps a span pseudo to the instructions it serves;
+	pseudoParent vregTable[ir.Reg]
+	// spanMembers holds the instructions a span pseudo serves;
 	// firstReload marks the site that emits the span's single reload.
-	spanMembers map[ir.Reg][]*ir.Instr
+	spanMembers vregTable[[]*ir.Instr]
 	firstReload map[siteKey]bool
 	// splits records committed loop splits per parent register; splitDone
 	// limits each register to a single split.
-	splits    map[ir.Reg][]splitPlan
+	splits    vregTable[[]splitPlan]
 	splitDone ir.RegSet
+	// loops is the per-run view of every loop split decisions read, built
+	// on the first split attempt (see buildLoops).
+	loops      []loopInfo
+	loopsBuilt bool
+
+	// Dense views of the bank and subgroup options, built once in init:
+	// bankOf holds 1 + Options.BankOf's bank, bankHint 1 + the bank bpc
+	// steers toward (BankOf, else FreeHints), groupOf 1 + the SDG group
+	// id; groupSize counts each group's members.
+	bankOf, bankHint vregTable[int32]
+	groupOf          vregTable[int32]
+	groupSize        map[int]int
 
 	// subgroup bookkeeping (Algorithm 2).
 	usage []int // per-subgroup accumulated usage
 
-	// conflictSites caches each register's hottest conflict-relevant
-	// instruction for the bcr heuristic (built lazily).
-	conflictSites map[ir.Reg]*ir.Instr
+	// conflictSite caches each register's hottest conflict-relevant
+	// instruction for the bcr heuristic, and siteCost that site's cost
+	// (built lazily, when sitesBuilt is false).
+	conflictSite vregTable[*ir.Instr]
+	siteCost     vregTable[float64]
+	sitesBuilt   bool
 
 	// victimScratch is the reusable ConflictsWithAppend buffer of the
 	// eviction scan: assignOne probes every candidate register, so the
@@ -305,28 +356,45 @@ type siteKey struct {
 }
 
 // init prepares a pooled allocator for one run: a fresh Result (it escapes
-// to the caller), lazily created maps (cleared again on release), and
-// right-sized union slabs.
-func (a *allocator) init(f *ir.Func, opts Options) {
+// to the caller), per-register tables sized to f, dense views of the bank
+// and subgroup options, and right-sized union slabs sharing one owner index.
+func (a *allocator) init(ctx context.Context, f *ir.Func, opts Options) {
+	a.ctx = ctx
 	a.f = f
 	a.opts = opts
-	a.res = &Result{
-		// Presized: nearly every FP vreg lands here, and the entries go in
-		// one at a time on the hot place() path.
-		AssignedPhys: make(map[ir.Reg]int, len(f.VRegs)),
-		GroupDispl:   map[int]int{},
-	}
-	if a.assignment == nil {
-		a.assignment = map[ir.Reg]int{}
-		a.spillSlot = map[ir.Reg]int{}
-		a.override = map[ir.Reg]*liveness.Interval{}
-		a.weightOverride = map[ir.Reg]float64{}
+	a.res = &Result{GroupDispl: map[int]int{}}
+	if a.sitePseudo == nil {
 		a.sitePseudo = map[siteKey]ir.Reg{}
-		a.remat = map[ir.Reg]*ir.Instr{}
-		a.pseudoParent = map[ir.Reg]ir.Reg{}
-		a.spanMembers = map[ir.Reg][]*ir.Instr{}
 		a.firstReload = map[siteKey]bool{}
-		a.splits = map[ir.Reg][]splitPlan{}
+	}
+	n := len(f.VRegs)
+	a.assigned.reset(n)
+	a.override.reset(n)
+	a.spillSlot.reset(n)
+	a.remat.reset(n)
+	a.pseudoParent.reset(n)
+	a.spanMembers.reset(n)
+	a.splits.reset(n)
+	a.bankOf.reset(n)
+	a.bankHint.reset(n)
+	a.groupOf.reset(n)
+	if len(opts.SubgroupGroups) > 0 {
+		a.groupSize = make(map[int]int)
+	}
+	if len(opts.BankOf)+len(opts.FreeHints)+len(opts.SubgroupGroups) > 0 {
+		for idx := range f.VRegs {
+			r := ir.VReg(idx)
+			if b, ok := opts.BankOf[r]; ok {
+				a.bankOf.v[idx] = int32(b) + 1
+				a.bankHint.v[idx] = int32(b) + 1
+			} else if b, ok := opts.FreeHints[r]; ok {
+				a.bankHint.v[idx] = int32(b) + 1
+			}
+			if g, ok := opts.SubgroupGroups[r]; ok {
+				a.groupOf.v[idx] = int32(g) + 1
+				a.groupSize[g]++
+			}
+		}
 	}
 	a.usage = scratch.Zeroed(a.usage, opts.Cfg.NumSubgroups)
 	if cap(a.fpUnions) < opts.Cfg.NumRegs {
@@ -339,24 +407,41 @@ func (a *allocator) init(f *ir.Func, opts Options) {
 	} else {
 		a.gprUnions = a.gprUnions[:numGPRFile]
 	}
+	for i := range a.fpUnions {
+		a.fpUnions[i].UseIndex(&a.unionIndex)
+	}
+	for i := range a.gprUnions {
+		a.gprUnions[i].UseIndex(&a.unionIndex)
+	}
 }
 
 // release clears every per-compile reference — the pool must retain no IR or
-// intervals from the finished function — and returns the allocator.
+// intervals from the finished function — and returns the allocator. Each
+// table and union resets over what this run used, never over what an
+// earlier, larger function grew it to.
 func (a *allocator) release() {
-	clear(a.assignment)
-	clear(a.spillSlot)
-	clear(a.override)
-	clear(a.weightOverride)
+	a.assigned.release()
+	a.override.release()
+	a.spillSlot.release()
+	a.remat.release()
+	a.pseudoParent.release()
+	a.spanMembers.release()
+	a.splits.release()
+	a.bankOf.release()
+	a.bankHint.release()
+	a.groupOf.release()
+	a.groupSize = nil
+	a.conflictSite.release()
+	a.siteCost.release()
+	a.sitesBuilt = false
+	clear(a.loops)
+	a.loops = a.loops[:0]
+	a.loopsBuilt = false
 	clear(a.sitePseudo)
-	clear(a.remat)
-	clear(a.pseudoParent)
-	clear(a.spanMembers)
 	clear(a.firstReload)
-	clear(a.splits)
+	a.pinned.Clear()
 	a.spilled.Clear()
 	a.splitDone.Clear()
-	a.conflictSites = nil
 	for i := range a.fpUnions {
 		a.fpUnions[i].Reset()
 	}
@@ -369,9 +454,11 @@ func (a *allocator) release() {
 		a.queue.release()
 		a.queue = nil
 	}
-	a.f, a.res, a.cf, a.lv = nil, nil, nil, nil
+	a.ctx, a.f, a.res, a.cf, a.lv = nil, nil, nil, nil, nil
 	a.opts = Options{}
-	allocPool.Put(a)
+	if !scratch.Disabled() {
+		allocPool.Put(a)
+	}
 }
 
 func (a *allocator) run() error {
@@ -394,7 +481,7 @@ func (a *allocator) run() error {
 		a.queue.push(r, a.priorityOf(r))
 	}
 
-	guard := 0
+	guard, assigned := 0, 0
 	maxSteps := 50 * (len(a.f.VRegs) + 10) * (a.opts.Cfg.NumRegs + numGPRFile)
 	for a.queue.Len() > 0 {
 		guard++
@@ -402,8 +489,13 @@ func (a *allocator) run() error {
 			return fmt.Errorf("regalloc: %s: allocation did not converge", a.f.Name)
 		}
 		r := a.queue.pop()
-		if _, done := a.assignment[r]; done {
+		if a.assigned.get(r) != 0 {
 			continue
+		}
+		if assigned++; assigned%greedyCtxStride == 0 {
+			if err := a.ctx.Err(); err != nil {
+				return fmt.Errorf("regalloc: %s: %w", a.f.Name, err)
+			}
 		}
 		if err := a.assignOne(r); err != nil {
 			return err
@@ -411,9 +503,19 @@ func (a *allocator) run() error {
 	}
 	a.queue.release()
 	a.queue = nil
+	a.res.AssignedPhys = make(map[ir.Reg]int, len(a.f.VRegs))
+	for idx, info := range a.f.VRegs {
+		if r := ir.VReg(idx); info.Class == ir.ClassFP {
+			if p, ok := a.physIndex(r); ok {
+				a.res.AssignedPhys[r] = p
+			}
+		}
+	}
 	if a.opts.Record {
-		record(a.res, a.f, a.lv, func(r ir.Reg) (int, bool) { p, ok := a.assignment[r]; return p, ok },
-			a.intervalOf, a.spillSlot)
+		record(a.res, a.f, a.lv, a.physIndex, a.intervalOf, func(r ir.Reg) (int, bool) {
+			s := a.spillSlot.get(r)
+			return int(s) - 1, s != 0
+		})
 	}
 	a.materialize()
 	a.f.MarkMutated()
@@ -493,7 +595,7 @@ func (a *allocator) unions(c ir.Class) []liveness.Union {
 }
 
 func (a *allocator) intervalOf(r ir.Reg) *liveness.Interval {
-	if iv, ok := a.override[r]; ok {
+	if iv := a.override.get(r); iv != nil {
 		return iv
 	}
 	if r.VirtIndex() < len(a.lv.Intervals) {
@@ -502,9 +604,19 @@ func (a *allocator) intervalOf(r ir.Reg) *liveness.Interval {
 	return nil
 }
 
+// physIndex returns r's physical index within its class file and whether
+// r is assigned (0, false when it is not).
+func (a *allocator) physIndex(r ir.Reg) (int, bool) {
+	v := a.assigned.get(r)
+	if v == 0 {
+		return 0, false
+	}
+	return int(v) - 1, true
+}
+
 func (a *allocator) weightOf(r ir.Reg) float64 {
-	if w, ok := a.weightOverride[r]; ok {
-		return w
+	if a.pinned.Has(r) {
+		return math.Inf(1)
 	}
 	iv := a.intervalOf(r)
 	if iv == nil {
@@ -519,8 +631,8 @@ func (a *allocator) weightOf(r ir.Reg) float64 {
 // that difference is what lets a hot, short interval arriving late evict a
 // long, cold one allocated early.
 func (a *allocator) priorityOf(r ir.Reg) float64 {
-	if w, ok := a.weightOverride[r]; ok {
-		return w // spill pseudos: +Inf, handled immediately
+	if a.pinned.Has(r) {
+		return math.Inf(1) // spill pseudos: handled immediately
 	}
 	iv := a.intervalOf(r)
 	if iv == nil {
@@ -648,22 +760,18 @@ func (a *allocator) firstFree(c ir.Class, iv *liveness.Interval, cands []int) in
 }
 
 func (a *allocator) place(r ir.Reg, c ir.Class, p int) {
-	a.assignment[r] = p
+	a.assigned.set(r, int32(p)+1)
 	a.unions(c)[p].Insert(r, a.intervalOf(r))
-	if c == ir.ClassFP {
-		a.res.AssignedPhys[r] = p
-		if a.opts.Method == MethodBPC {
-			if want, ok := a.opts.BankOf[r]; ok && want != a.opts.Cfg.Bank(p) {
-				a.res.BankBreaks++
-			}
+	if c == ir.ClassFP && a.opts.Method == MethodBPC {
+		if want := a.bankOf.get(r); want != 0 && int(want)-1 != a.opts.Cfg.Bank(p) {
+			a.res.BankBreaks++
 		}
 	}
 }
 
 func (a *allocator) evict(r ir.Reg, c ir.Class, p int) {
 	a.unions(c)[p].Remove(r)
-	delete(a.assignment, r)
-	delete(a.res.AssignedPhys, r)
+	a.assigned.set(r, 0)
 	a.res.Evictions++
 	a.queue.push(r, a.priorityOf(r))
 }
@@ -691,7 +799,12 @@ var queuePool = sync.Pool{New: func() any { return new(workQueue) }}
 // (pass len(f.VRegs): every live vreg is pushed once up front, and eviction
 // re-pushes never outnumber the vregs in flight).
 func newWorkQueue(n int) *workQueue {
-	q := queuePool.Get().(*workQueue)
+	var q *workQueue
+	if scratch.Disabled() {
+		q = new(workQueue)
+	} else {
+		q = queuePool.Get().(*workQueue)
+	}
 	if cap(q.items) < n {
 		q.items = make([]queueItem, 0, n)
 	} else {
@@ -703,7 +816,9 @@ func newWorkQueue(n int) *workQueue {
 // release returns the queue (and its grown slice) to the pool.
 func (q *workQueue) release() {
 	q.items = q.items[:0]
-	queuePool.Put(q)
+	if !scratch.Disabled() {
+		queuePool.Put(q)
+	}
 }
 
 func (q *workQueue) Len() int { return len(q.items) }
@@ -761,12 +876,12 @@ func (q *workQueue) down(i0, n int) {
 // record captures the final pre-rewrite allocation state into res, walking
 // the vreg table in index order so the recorded lists are deterministic.
 // physOf reports a register's placement; intervalOf the interval the
-// allocator used for it (overrides included).
+// allocator used for it (overrides included); spillSlot its stack slot.
 func record(res *Result, f *ir.Func, lv *liveness.Info,
 	physOf func(ir.Reg) (int, bool), intervalOf func(ir.Reg) *liveness.Interval,
-	spillSlot map[ir.Reg]int) {
+	spillSlot func(ir.Reg) (int, bool)) {
 	entry := f.Entry()
-	res.SpillSlotOf = make(map[ir.Reg]int, len(spillSlot))
+	res.SpillSlotOf = make(map[ir.Reg]int)
 	for idx := range f.VRegs {
 		r := ir.VReg(idx)
 		if p, ok := physOf(r); ok {
@@ -774,12 +889,20 @@ func record(res *Result, f *ir.Func, lv *liveness.Info,
 				Reg: r, Class: f.VRegs[idx].Class, Phys: p, Interval: intervalOf(r),
 			})
 		}
-		if s, ok := spillSlot[r]; ok {
+		if s, ok := spillSlot(r); ok {
 			res.SpillSlotOf[r] = s
 		}
 		if lv.LiveIn[entry.ID].Has(r) {
 			res.EntryLiveIn = append(res.EntryLiveIn, r)
 		}
+	}
+}
+
+// mapLookup adapts a register map to record's lookup shape.
+func mapLookup(m map[ir.Reg]int) func(ir.Reg) (int, bool) {
+	return func(r ir.Reg) (int, bool) {
+		v, ok := m[r]
+		return v, ok
 	}
 }
 

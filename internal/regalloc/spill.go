@@ -28,10 +28,10 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 	a.spilled.Add(r)
 	a.res.SpilledVRegs++
 	if def := a.rematSource(r); def != nil {
-		a.remat[r] = def
+		a.remat.set(r, def)
 		a.res.Remats++
 	} else {
-		a.spillSlot[r] = a.f.SpillSlots
+		a.spillSlot.set(r, int32(a.f.SpillSlots)+1)
 		a.f.SpillSlots++
 	}
 
@@ -52,17 +52,16 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 			start := span[0].slot
 			end := span[len(span)-1].slot + 1
 			p := a.newPseudo(c, start, end)
-			a.pseudoParent[p] = r
+			a.pseudoParent.set(p, r)
+			members := make([]*ir.Instr, len(span))
 			for i, site := range span {
 				a.sitePseudo[siteKey{site.in, r, false}] = p
 				if i == 0 {
 					a.firstReload[siteKey{site.in, r, false}] = true
 				}
+				members[i] = site.in
 			}
-			a.spanMembers[p] = make([]*ir.Instr, len(span))
-			for i, site := range span {
-				a.spanMembers[p][i] = site.in
-			}
+			a.spanMembers.set(p, members)
 			span = span[:0]
 		}
 		for i, in := range b.Instrs {
@@ -94,7 +93,7 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 					flush()
 					p := a.newPseudo(c, s+1, s+2)
 					a.sitePseudo[siteKey{in, r, true}] = p
-					a.pseudoParent[p] = r
+					a.pseudoParent.set(p, r)
 					break
 				}
 			}
@@ -107,15 +106,15 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 // pseudos and requeues them. Returns false if the pseudo is already at
 // the finest granularity.
 func (a *allocator) demoteSpan(p ir.Reg) bool {
-	members := a.spanMembers[p]
+	members := a.spanMembers.get(p)
 	if len(members) <= 1 {
 		return false
 	}
-	parent := a.pseudoParent[p]
+	parent := a.pseudoParent.get(p)
 	c := a.classOf(p)
-	delete(a.spanMembers, p)
-	delete(a.override, p)
-	delete(a.weightOverride, p)
+	a.spanMembers.set(p, nil)
+	a.override.set(p, nil)
+	a.pinned.Remove(p)
 	// Locate each member's slot again via the instruction's site key; the
 	// member order preserved from spill() is block order, and slots are
 	// recoverable from the liveness linearization.
@@ -127,10 +126,10 @@ func (a *allocator) demoteSpan(p ir.Reg) bool {
 			}
 			s := a.lv.ReadSlot(b, i)
 			np := a.newPseudo(c, s, s+1)
-			a.pseudoParent[np] = parent
+			a.pseudoParent.set(np, parent)
 			a.sitePseudo[key] = np
 			a.firstReload[key] = true
-			a.spanMembers[np] = []*ir.Instr{in}
+			a.spanMembers.set(np, []*ir.Instr{in})
 		}
 	}
 	return true
@@ -165,8 +164,8 @@ func (a *allocator) newPseudo(c ir.Class, start, end int) ir.Reg {
 	p := a.f.NewVReg(c)
 	iv := &liveness.Interval{}
 	iv.Add(start, end)
-	a.override[p] = iv
-	a.weightOverride[p] = math.Inf(1)
+	a.override.set(p, iv)
+	a.pinned.Add(p)
 	a.queue.push(p, math.Inf(1))
 	return p
 }
@@ -175,13 +174,6 @@ func (a *allocator) newPseudo(c ir.Class, start, end int) ir.Reg {
 // planned spill code.
 func (a *allocator) materialize() {
 	cfg := a.opts.Cfg
-	encode := func(r ir.Reg) ir.Reg {
-		p := a.assignment[r]
-		if a.classOf(r) == ir.ClassFP {
-			return ir.FReg(p)
-		}
-		return ir.XReg(p)
-	}
 
 	for _, b := range a.f.Blocks {
 		out := make([]*ir.Instr, 0, len(b.Instrs))
@@ -195,19 +187,19 @@ func (a *allocator) materialize() {
 					continue
 				}
 				if child := a.splitChildAt(u, slot); child != ir.NoReg {
-					in.Uses[k] = encode(child)
+					in.Uses[k] = a.physOf(child)
 					continue
 				}
 				if !a.spilled.Has(u) {
-					in.Uses[k] = encode(u)
+					in.Uses[k] = a.physOf(u)
 					continue
 				}
 				key := siteKey{in, u, false}
 				pseudo := a.sitePseudo[key]
-				phys := encode(pseudo)
+				phys := a.physOf(pseudo)
 				if a.firstReload[key] {
 					delete(a.firstReload, key) // one reload even if u repeats
-					if def, isRemat := a.remat[u]; isRemat {
+					if def := a.remat.get(u); def != nil {
 						out = append(out, &ir.Instr{
 							Op:   def.Op,
 							Defs: []ir.Reg{phys},
@@ -222,7 +214,7 @@ func (a *allocator) materialize() {
 						out = append(out, &ir.Instr{
 							Op:   op,
 							Defs: []ir.Reg{phys},
-							Imm:  int64(a.spillSlot[u]),
+							Imm:  int64(a.spillSlot.get(u) - 1),
 						})
 						a.res.SpillReloads++
 					}
@@ -237,13 +229,13 @@ func (a *allocator) materialize() {
 					continue
 				}
 				if !a.spilled.Has(d) {
-					in.Defs[k] = encode(d)
+					in.Defs[k] = a.physOf(d)
 					continue
 				}
 				pseudo := a.sitePseudo[siteKey{in, d, true}]
-				phys := encode(pseudo)
+				phys := a.physOf(pseudo)
 				in.Defs[k] = phys
-				if _, isRemat := a.remat[d]; isRemat {
+				if a.remat.get(d) != nil {
 					continue
 				}
 				op := ir.OpFSpill
@@ -253,7 +245,7 @@ func (a *allocator) materialize() {
 				out = append(out, &ir.Instr{
 					Op:   op,
 					Uses: []ir.Reg{phys},
-					Imm:  int64(a.spillSlot[d]),
+					Imm:  int64(a.spillSlot.get(d) - 1),
 				})
 				a.res.SpillStores++
 			}

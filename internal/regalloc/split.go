@@ -2,6 +2,7 @@ package regalloc
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"prescount/internal/cfg"
@@ -24,17 +25,71 @@ type splitPlan struct {
 	exits         []*ir.Block
 }
 
+// loopInfo is one loop as split decisions read it: its slot range, its
+// member blocks in layout order with a block-ID bitset for membership
+// tests, its preheader and its exits. All of it derives from Loop.Blocks,
+// the CFG edges and liveness's block ranges, none of which change while the
+// allocator runs, so buildLoops computes it once per run instead of once
+// per split attempt.
+type loopInfo struct {
+	loop       *cfg.Loop
+	start, end int
+	blocks     []*ir.Block
+	member     []uint64
+	preheader  *ir.Block
+	exits      []*ir.Block
+}
+
+// has reports whether b belongs to the loop.
+func (li *loopInfo) has(b *ir.Block) bool {
+	w := b.ID >> 6
+	return w < len(li.member) && li.member[w]&(1<<(uint(b.ID)&63)) != 0
+}
+
+// buildLoops fills a.loops, once per run, in the order pickSplitLoop
+// considers loops: each loop after its children.
+func (a *allocator) buildLoops() {
+	a.loopsBuilt = true
+	words := 0
+	for _, b := range a.f.Blocks {
+		words = max(words, b.ID>>6+1)
+	}
+	var visit func(l *cfg.Loop)
+	visit = func(l *cfg.Loop) {
+		for _, child := range l.Children {
+			visit(child)
+		}
+		li := loopInfo{loop: l, start: math.MaxInt32, member: make([]uint64, words)}
+		for _, b := range a.f.Blocks {
+			if !l.Blocks[b.ID] {
+				continue
+			}
+			li.blocks = append(li.blocks, b)
+			li.member[b.ID>>6] |= 1 << (uint(b.ID) & 63)
+			s, e := a.lv.BlockRange(b)
+			li.start = min(li.start, s)
+			li.end = max(li.end, e)
+		}
+		li.preheader = preheaderOf(&li)
+		li.exits = loopExits(&li)
+		a.loops = append(a.loops, li)
+	}
+	for _, l := range a.cf.Loops {
+		visit(l)
+	}
+}
+
 // trySplitAroundLoop is the allocator's last resort before spilling a
 // register: if r is live through a loop, is used inside it, and is neither
 // defined there nor crossing a call there, the loop region is split off
 // into a fresh child register. The child is placed immediately (the split
 // aborts if no register is free for the loop range), inherits r's bank and
-// subgroup through the pseudoParent map — the paper's requirement that
+// subgroup through the pseudoParent table — the paper's requirement that
 // split-generated registers keep their assignment (Algorithm 2) — and the
 // shrunken parent goes back on the queue, where it often fits or, at
 // worst, spills only its cold remainder.
 func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
-	if _, isChild := a.pseudoParent[r]; isChild {
+	if a.pseudoParent.get(r) != ir.NoReg {
 		return false // split/spill products are never re-split
 	}
 	if a.splitDone.Has(r) {
@@ -49,7 +104,7 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 	if best == nil {
 		return false
 	}
-	ls, le := a.loopRange(best)
+	ls, le := best.start, best.end
 
 	// Build the child interval and verify it can be placed right now in a
 	// free register; otherwise splitting would only defer a spill.
@@ -57,9 +112,9 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 	civ := &liveness.Interval{}
 	civ.Add(ls, le)
 	civ.Weight = iv.Weight
-	a.override[child] = civ
-	a.weightOverride[child] = math.Inf(1) // placed once, never evicted
-	a.pseudoParent[child] = r
+	a.override.set(child, civ)
+	a.pinned.Add(child) // placed once, never evicted
+	a.pseudoParent.set(child, r)
 
 	// The child is pinned (never evicted), so committing it must leave
 	// spare capacity in the loop region for spill pseudo-registers of
@@ -83,9 +138,9 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 	}
 	if phys < 0 || free <= reserve {
 		// Abort: undo the tentative child.
-		delete(a.override, child)
-		delete(a.weightOverride, child)
-		delete(a.pseudoParent, child)
+		a.override.set(child, nil)
+		a.pinned.Remove(child)
+		a.pseudoParent.set(child, ir.NoReg)
 		return false
 	}
 	a.place(child, c, phys)
@@ -94,16 +149,16 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 	reduced := subtractRange(iv, ls, le)
 	reduced.Weight = iv.Weight
 	reduced.NumUses = iv.NumUses
-	a.override[r] = reduced
+	a.override.set(r, reduced)
 	a.splitDone.Add(r)
-	a.splits[r] = append(a.splits[r], splitPlan{
+	a.splits.set(r, append(a.splits.get(r), splitPlan{
 		parent:    r,
 		child:     child,
 		start:     ls,
 		end:       le,
-		preheader: a.preheaderOf(best),
-		exits:     a.loopExits(best),
-	})
+		preheader: best.preheader,
+		exits:     best.exits,
+	}))
 	a.res.LoopSplits++
 	if !reduced.Empty() {
 		a.queue.push(r, a.priorityOf(r))
@@ -112,64 +167,37 @@ func (a *allocator) trySplitAroundLoop(r ir.Reg, c ir.Class) bool {
 }
 
 // pickSplitLoop returns the hottest loop suitable for splitting r, or nil.
-func (a *allocator) pickSplitLoop(r ir.Reg, iv *liveness.Interval) *cfg.Loop {
-	var best *cfg.Loop
-	bestFreq := 0.0
-	var visit func(l *cfg.Loop)
-	visit = func(l *cfg.Loop) {
-		for _, child := range l.Children {
-			visit(child)
-		}
-		ls, le := a.loopRange(l)
-		if !a.splitSuitable(r, iv, l, ls, le) {
-			return
-		}
-		f := a.cf.Freq(l.Header)
-		if f > bestFreq {
-			best, bestFreq = l, f
-		}
+func (a *allocator) pickSplitLoop(r ir.Reg, iv *liveness.Interval) *loopInfo {
+	if !a.loopsBuilt {
+		a.buildLoops()
 	}
-	for _, l := range a.cf.Loops {
-		visit(l)
+	var best *loopInfo
+	bestFreq := 0.0
+	for i := range a.loops {
+		li := &a.loops[i]
+		if !a.splitSuitable(r, iv, li) {
+			continue
+		}
+		if f := a.cf.Freq(li.loop.Header); f > bestFreq {
+			best, bestFreq = li, f
+		}
 	}
 	return best
 }
 
-// loopRange returns the slot range covering every block of the loop.
-// l.Blocks is a set; iterate the function's block list so the walk is in
-// layout order rather than map order.
-func (a *allocator) loopRange(l *cfg.Loop) (int, int) {
-	ls, le := math.MaxInt32, 0
-	for _, b := range a.f.Blocks {
-		if !l.Blocks[b.ID] {
-			continue
-		}
-		s, e := a.lv.BlockRange(b)
-		if s < ls {
-			ls = s
-		}
-		if e > le {
-			le = e
-		}
-	}
-	return ls, le
-}
-
 // splitSuitable checks the structural preconditions for splitting r around
-// loop l with slot range [ls, le).
-func (a *allocator) splitSuitable(r ir.Reg, iv *liveness.Interval, l *cfg.Loop, ls, le int) bool {
+// the loop.
+func (a *allocator) splitSuitable(r ir.Reg, iv *liveness.Interval, li *loopInfo) bool {
 	// Live through the whole loop, with something left outside.
+	ls, le := li.start, li.end
 	if !iv.Covers(ls) || !iv.Covers(le-1) || iv.Start() >= ls || iv.End() <= le {
 		return false
 	}
-	if a.preheaderOf(l) == nil {
+	if li.preheader == nil {
 		return false
 	}
 	usesIn := 0
-	for _, b := range a.f.Blocks {
-		if !l.Blocks[b.ID] {
-			continue
-		}
+	for _, b := range li.blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall {
 				return false // child would need a callee-saved register anyway
@@ -193,13 +221,13 @@ func (a *allocator) splitSuitable(r ir.Reg, iv *liveness.Interval, l *cfg.Loop, 
 	// child (see materializeSplits); that copy is only correct when the
 	// exit is reached exclusively from inside the loop, so a side entry
 	// into such an exit block rules the split out.
-	for _, eb := range a.loopExits(l) {
+	for _, eb := range li.exits {
 		es, _ := a.lv.BlockRange(eb)
 		if !iv.Covers(es) {
 			continue
 		}
 		for _, p := range eb.Preds {
-			if !l.Blocks[p.ID] {
+			if !li.has(p) {
 				return false
 			}
 		}
@@ -207,18 +235,13 @@ func (a *allocator) splitSuitable(r ir.Reg, iv *liveness.Interval, l *cfg.Loop, 
 	return true
 }
 
-// loopExits returns the blocks outside loop l that some block of l
+// loopExits returns the blocks outside the loop that some block of it
 // branches to, in block-ID order.
-func (a *allocator) loopExits(l *cfg.Loop) []*ir.Block {
-	seen := map[int]bool{}
+func loopExits(li *loopInfo) []*ir.Block {
 	var exits []*ir.Block
-	for _, b := range a.f.Blocks {
-		if !l.Blocks[b.ID] {
-			continue
-		}
+	for _, b := range li.blocks {
 		for _, s := range b.Succs {
-			if !l.Blocks[s.ID] && !seen[s.ID] {
-				seen[s.ID] = true
+			if !li.has(s) && !slices.Contains(exits, s) {
 				exits = append(exits, s)
 			}
 		}
@@ -229,10 +252,10 @@ func (a *allocator) loopExits(l *cfg.Loop) []*ir.Block {
 
 // preheaderOf returns the unique out-of-loop predecessor of the loop
 // header, or nil.
-func (a *allocator) preheaderOf(l *cfg.Loop) *ir.Block {
+func preheaderOf(li *loopInfo) *ir.Block {
 	var pre *ir.Block
-	for _, p := range l.Header.Preds {
-		if l.Blocks[p.ID] {
+	for _, p := range li.loop.Header.Preds {
+		if li.has(p) {
 			continue
 		}
 		if pre != nil {
@@ -264,7 +287,7 @@ func subtractRange(iv *liveness.Interval, start, end int) *liveness.Interval {
 // splitRangeFor returns the child register serving a use of r at the given
 // slot, or NoReg.
 func (a *allocator) splitChildAt(r ir.Reg, slot int) ir.Reg {
-	for _, sp := range a.splits[r] {
+	for _, sp := range a.splits.get(r) {
 		if slot >= sp.start && slot < sp.end {
 			return sp.child
 		}
@@ -279,15 +302,9 @@ func (a *allocator) splitChildAt(r ir.Reg, slot int) ir.Reg {
 // rematerializing the constant).
 func (a *allocator) materializeSplits() {
 	// Iterate parents in register order: several splits can share one
-	// preheader, and map order would make the inserted initializer
-	// sequence — and thus the output code — vary run to run.
-	parents := make([]ir.Reg, 0, len(a.splits))
-	for r := range a.splits {
-		parents = append(parents, r)
-	}
-	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
-	for _, r := range parents {
-		for _, sp := range a.splits[r] {
+	// preheader, so the order fixes the inserted initializer sequence.
+	for _, plans := range a.splits.v {
+		for _, sp := range plans {
 			childPhys := a.physOf(sp.child)
 			var init *ir.Instr
 			switch {
@@ -297,15 +314,15 @@ func (a *allocator) materializeSplits() {
 					op = ir.OpIMov
 				}
 				init = &ir.Instr{Op: op, Defs: []ir.Reg{childPhys}, Uses: []ir.Reg{a.physOf(sp.parent)}}
-			case a.remat[sp.parent] != nil:
-				def := a.remat[sp.parent]
+			case a.remat.get(sp.parent) != nil:
+				def := a.remat.get(sp.parent)
 				init = &ir.Instr{Op: def.Op, Defs: []ir.Reg{childPhys}, Imm: def.Imm, FImm: def.FImm}
 			default:
 				op := ir.OpFReload
 				if a.classOf(sp.parent) == ir.ClassGPR {
 					op = ir.OpIReload
 				}
-				init = &ir.Instr{Op: op, Defs: []ir.Reg{childPhys}, Imm: int64(a.spillSlot[sp.parent])}
+				init = &ir.Instr{Op: op, Defs: []ir.Reg{childPhys}, Imm: int64(a.spillSlot.get(sp.parent) - 1)}
 				a.res.SpillReloads++
 			}
 			term := len(sp.preheader.Instrs) - 1
@@ -341,7 +358,7 @@ func (a *allocator) materializeSplits() {
 
 // physOf encodes the physical register assigned to a virtual register.
 func (a *allocator) physOf(r ir.Reg) ir.Reg {
-	p := a.assignment[r]
+	p, _ := a.physIndex(r)
 	if a.classOf(r) == ir.ClassFP {
 		return ir.FReg(p)
 	}

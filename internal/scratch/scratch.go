@@ -83,7 +83,13 @@ var pool = sync.Pool{New: func() any { return new(Arena) }}
 var disabled atomic.Bool
 
 // SetDisabled switches arena pooling off (true) or on (false). Test-only.
+// Other pools of per-compile state (regalloc's allocator pool) read
+// Disabled and bypass themselves too, so a disabled compile runs entirely
+// on fresh memory.
 func SetDisabled(v bool) { disabled.Store(v) }
+
+// Disabled reports whether pooling is switched off (see SetDisabled).
+func Disabled() bool { return disabled.Load() }
 
 // Get returns an arena for one compile. Pair with Put.
 func Get() *Arena {

@@ -88,8 +88,8 @@ func Run(f *ir.Func, opts Options) (*Result, error) {
 	m := &machine{
 		f:     f,
 		opts:  opts,
-		fregs: map[ir.Reg]float64{},
-		xregs: map[ir.Reg]int64{},
+		fregs: newRegFile[float64](f, opts.File.NumRegs),
+		xregs: newRegFile[int64](f, 0),
 		mem:   make([]float64, opts.MemSize),
 		fsp:   map[int64]float64{},
 		xsp:   map[int64]int64{},
@@ -130,8 +130,8 @@ type machine struct {
 	f    *ir.Func
 	opts Options
 
-	fregs map[ir.Reg]float64
-	xregs map[ir.Reg]int64
+	fregs regFile[float64]
+	xregs regFile[int64]
 	mem   []float64
 	fsp   map[int64]float64
 	xsp   map[int64]int64
@@ -142,6 +142,46 @@ type machine struct {
 	confInst int64
 
 	blockCost []blockCost
+}
+
+// regFile holds one class's register values without a map: physical
+// registers by register id (the low id space, where NoReg, x0..x31 and the
+// FP registers each have their own id) and virtual registers by
+// VirtIndex, so a physical register and a virtual one never share a slot.
+// Registers never written read as zero; writes past the end grow the table.
+type regFile[T int64 | float64] struct {
+	phys, virt []T
+}
+
+// newRegFile sizes a register file for f's virtual registers and a
+// numFP-register FP file.
+func newRegFile[T int64 | float64](f *ir.Func, numFP int) regFile[T] {
+	return regFile[T]{
+		phys: make([]T, int(ir.FReg(0))+numFP),
+		virt: make([]T, len(f.VRegs)),
+	}
+}
+
+func (rf *regFile[T]) get(r ir.Reg) T {
+	tab, i := rf.phys, int(r)
+	if r.IsVirt() {
+		tab, i = rf.virt, r.VirtIndex()
+	}
+	if i < len(tab) {
+		return tab[i]
+	}
+	return 0
+}
+
+func (rf *regFile[T]) set(r ir.Reg, v T) {
+	tab, i := &rf.phys, int(r)
+	if r.IsVirt() {
+		tab, i = &rf.virt, r.VirtIndex()
+	}
+	if i >= len(*tab) {
+		*tab = append(*tab, make([]T, i+1-len(*tab))...)
+	}
+	(*tab)[i] = v
 }
 
 func (m *machine) run() error {
@@ -177,67 +217,67 @@ func (m *machine) execBlock(b *ir.Block) (next *ir.Block, done bool, err error) 
 		switch in.Op {
 		case ir.OpNop:
 		case ir.OpIConst:
-			m.xregs[in.Defs[0]] = in.Imm
+			m.xregs.set(in.Defs[0], in.Imm)
 		case ir.OpIMov:
-			m.xregs[in.Defs[0]] = m.xregs[in.Uses[0]]
+			m.xregs.set(in.Defs[0], m.xregs.get(in.Uses[0]))
 		case ir.OpIAdd:
-			m.xregs[in.Defs[0]] = m.xregs[in.Uses[0]] + m.xregs[in.Uses[1]]
+			m.xregs.set(in.Defs[0], m.xregs.get(in.Uses[0])+m.xregs.get(in.Uses[1]))
 		case ir.OpIAddI:
-			m.xregs[in.Defs[0]] = m.xregs[in.Uses[0]] + in.Imm
+			m.xregs.set(in.Defs[0], m.xregs.get(in.Uses[0])+in.Imm)
 		case ir.OpIMul:
-			m.xregs[in.Defs[0]] = m.xregs[in.Uses[0]] * m.xregs[in.Uses[1]]
+			m.xregs.set(in.Defs[0], m.xregs.get(in.Uses[0])*m.xregs.get(in.Uses[1]))
 		case ir.OpIMulI:
-			m.xregs[in.Defs[0]] = m.xregs[in.Uses[0]] * in.Imm
+			m.xregs.set(in.Defs[0], m.xregs.get(in.Uses[0])*in.Imm)
 		case ir.OpICmpLt:
-			m.xregs[in.Defs[0]] = b2i(m.xregs[in.Uses[0]] < m.xregs[in.Uses[1]])
+			m.xregs.set(in.Defs[0], b2i(m.xregs.get(in.Uses[0]) < m.xregs.get(in.Uses[1])))
 		case ir.OpICmpLtI:
-			m.xregs[in.Defs[0]] = b2i(m.xregs[in.Uses[0]] < in.Imm)
+			m.xregs.set(in.Defs[0], b2i(m.xregs.get(in.Uses[0]) < in.Imm))
 		case ir.OpFConst:
-			m.fregs[in.Defs[0]] = in.FImm
+			m.fregs.set(in.Defs[0], in.FImm)
 		case ir.OpFMov:
-			m.fregs[in.Defs[0]] = m.fregs[in.Uses[0]]
+			m.fregs.set(in.Defs[0], m.fregs.get(in.Uses[0]))
 		case ir.OpFNeg:
-			m.fregs[in.Defs[0]] = -m.fregs[in.Uses[0]]
+			m.fregs.set(in.Defs[0], -m.fregs.get(in.Uses[0]))
 		case ir.OpFAdd:
-			m.fregs[in.Defs[0]] = m.fregs[in.Uses[0]] + m.fregs[in.Uses[1]]
+			m.fregs.set(in.Defs[0], m.fregs.get(in.Uses[0])+m.fregs.get(in.Uses[1]))
 		case ir.OpFSub:
-			m.fregs[in.Defs[0]] = m.fregs[in.Uses[0]] - m.fregs[in.Uses[1]]
+			m.fregs.set(in.Defs[0], m.fregs.get(in.Uses[0])-m.fregs.get(in.Uses[1]))
 		case ir.OpFMul:
-			m.fregs[in.Defs[0]] = m.fregs[in.Uses[0]] * m.fregs[in.Uses[1]]
+			m.fregs.set(in.Defs[0], m.fregs.get(in.Uses[0])*m.fregs.get(in.Uses[1]))
 		case ir.OpFDiv:
-			m.fregs[in.Defs[0]] = m.fregs[in.Uses[0]] / m.fregs[in.Uses[1]]
+			m.fregs.set(in.Defs[0], m.fregs.get(in.Uses[0])/m.fregs.get(in.Uses[1]))
 		case ir.OpFMin:
-			m.fregs[in.Defs[0]] = math.Min(m.fregs[in.Uses[0]], m.fregs[in.Uses[1]])
+			m.fregs.set(in.Defs[0], math.Min(m.fregs.get(in.Uses[0]), m.fregs.get(in.Uses[1])))
 		case ir.OpFMax:
-			m.fregs[in.Defs[0]] = math.Max(m.fregs[in.Uses[0]], m.fregs[in.Uses[1]])
+			m.fregs.set(in.Defs[0], math.Max(m.fregs.get(in.Uses[0]), m.fregs.get(in.Uses[1])))
 		case ir.OpFMA:
-			m.fregs[in.Defs[0]] = m.fregs[in.Uses[0]]*m.fregs[in.Uses[1]] + m.fregs[in.Uses[2]]
+			m.fregs.set(in.Defs[0], m.fregs.get(in.Uses[0])*m.fregs.get(in.Uses[1])+m.fregs.get(in.Uses[2]))
 		case ir.OpFLoad:
-			addr, aerr := m.addr(m.xregs[in.Uses[0]], in.Imm)
+			addr, aerr := m.addr(m.xregs.get(in.Uses[0]), in.Imm)
 			if aerr != nil {
 				return nil, false, aerr
 			}
-			m.fregs[in.Defs[0]] = m.mem[addr]
+			m.fregs.set(in.Defs[0], m.mem[addr])
 		case ir.OpFStore:
-			addr, aerr := m.addr(m.xregs[in.Uses[1]], in.Imm)
+			addr, aerr := m.addr(m.xregs.get(in.Uses[1]), in.Imm)
 			if aerr != nil {
 				return nil, false, aerr
 			}
-			m.mem[addr] = m.fregs[in.Uses[0]]
+			m.mem[addr] = m.fregs.get(in.Uses[0])
 		case ir.OpFSpill:
-			m.fsp[in.Imm] = m.fregs[in.Uses[0]]
+			m.fsp[in.Imm] = m.fregs.get(in.Uses[0])
 		case ir.OpFReload:
-			m.fregs[in.Defs[0]] = m.fsp[in.Imm]
+			m.fregs.set(in.Defs[0], m.fsp[in.Imm])
 		case ir.OpISpill:
-			m.xsp[in.Imm] = m.xregs[in.Uses[0]]
+			m.xsp[in.Imm] = m.xregs.get(in.Uses[0])
 		case ir.OpIReload:
-			m.xregs[in.Defs[0]] = m.xsp[in.Imm]
+			m.xregs.set(in.Defs[0], m.xsp[in.Imm])
 		case ir.OpCall:
 			m.clobberCallerSaved()
 		case ir.OpBr:
 			return b.Succs[0], false, nil
 		case ir.OpCondBr:
-			if m.xregs[in.Uses[0]] != 0 {
+			if m.xregs.get(in.Uses[0]) != 0 {
 				return b.Succs[0], false, nil
 			}
 			return b.Succs[1], false, nil
@@ -278,12 +318,12 @@ func (m *machine) clobberCallerSaved() {
 	const canary = -1.2345e300
 	for i := 0; i < n; i++ {
 		if ir.CallerSavedFPR(i, n) {
-			m.fregs[ir.FReg(i)] = canary
+			m.fregs.set(ir.FReg(i), canary)
 		}
 	}
 	for i := 0; i < ir.NumGPR; i++ {
 		if ir.CallerSavedGPR(i) {
-			m.xregs[ir.XReg(i)] = -123456789
+			m.xregs.set(ir.XReg(i), -123456789)
 		}
 	}
 }

@@ -414,3 +414,38 @@ func TestConflictInstancesVsPenalty(t *testing.T) {
 		t.Errorf("instances=%d penalty=%d, want 1/2", r.ConflictInstances, r.DynamicConflicts)
 	}
 }
+
+// TestPhysicalAndVirtualRegistersDoNotAlias pins that the register files
+// keep physical and virtual registers apart. %0, %2 and x0, x1, x2 (GPR)
+// and %1:fp and f1 (FP) collide under any one-table numbering — by class
+// index or by register id — yet hold different values, and every value
+// reaches memory intact.
+func TestPhysicalAndVirtualRegistersDoNotAlias(t *testing.T) {
+	src := `func @alias {
+  entry:
+    x0 = iconst 8
+    x1 = iconst 4
+    x2 = iconst 24
+    %0 = iconst 0
+    %1:fp = fconst 1.5
+    %2 = iconst 16
+    f1 = fconst 2.5
+    fstore %1, %0, 0
+    fstore f1, %0, 1
+    fstore %1, x0, 0
+    fstore f1, x1, 0
+    fstore f1, %2, 0
+    fstore %1, x2, 0
+    ret
+}`
+	f, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := run(t, f, Options{File: bankfile.RV2(2), MemSize: 32, KeepMem: true})
+	for addr, want := range map[int]float64{0: 1.5, 1: 2.5, 4: 2.5, 8: 1.5, 16: 2.5, 24: 1.5} {
+		if r.Mem[addr] != want {
+			t.Errorf("mem[%d] = %g, want %g", addr, r.Mem[addr], want)
+		}
+	}
+}

@@ -49,7 +49,7 @@ func RCGDot(g *rcg.Graph, bankOf map[ir.Reg]int) string {
 	sb.WriteString("graph RCG {\n  node [shape=circle];\n")
 	for _, n := range g.Nodes {
 		label := n.String()
-		attrs := fmt.Sprintf("label=\"%s\\ncost=%.0f\"", label, g.Cost[n])
+		attrs := fmt.Sprintf("label=\"%s\\ncost=%.0f\"", label, g.Cost(n))
 		if bankOf != nil {
 			if b, ok := bankOf[n]; ok {
 				attrs += fmt.Sprintf(", xlabel=\"bank%d\", colorscheme=set19, style=filled, fillcolor=%d", b, b%9+1)

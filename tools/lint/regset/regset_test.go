@@ -66,6 +66,54 @@ func f() map[ir.Reg]int {
 			want: 0,
 		},
 		{
+			name: "any-value-flagged-in-dense-package",
+			pkg:  "prescount/internal/rcg",
+			src: `package rcg
+import "prescount/internal/ir"
+type graph struct {
+	cost map[ir.Reg]float64
+}`,
+			want: 1,
+		},
+		{
+			name: "any-value-flagged-in-sim",
+			pkg:  "prescount/internal/sim",
+			src: `package sim
+import "prescount/internal/ir"
+func f(r ir.Reg) float64 {
+	regs := make(map[ir.Reg]float64)
+	return regs[r]
+}`,
+			want: 1,
+		},
+		{
+			name: "bool-value-flagged-once-in-dense-package",
+			pkg:  "prescount/internal/liveness",
+			src: `package liveness
+import "prescount/internal/ir"
+var live map[ir.Reg]bool`,
+			want: 1,
+		},
+		{
+			name: "float-value-benign-in-bool-only-package",
+			pkg:  "prescount/internal/regalloc",
+			src: `package regalloc
+import "prescount/internal/ir"
+type state struct {
+	weight map[ir.Reg]float64
+}`,
+			want: 0,
+		},
+		{
+			name: "other-key-type-benign-in-dense-package",
+			pkg:  "prescount/internal/sim",
+			src: `package sim
+func f() map[int64]float64 {
+	return map[int64]float64{}
+}`,
+			want: 0,
+		},
+		{
 			name: "other-key-type-benign",
 			src: `package sched
 func f() map[int]bool {
