@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,4 +86,44 @@ func TestCancelledCompileNotCached(t *testing.T) {
 	if s := cache.Stats(); s.FullEntries != 1 {
 		t.Fatalf("cache retained %d full entries, want exactly the recomputed one", s.FullEntries)
 	}
+}
+
+// expireAt is a context whose Err reports context.DeadlineExceeded from its
+// k-th call on (never, when k is 0); calls counts the polls.
+type expireAt struct {
+	context.Context
+	k, calls int
+}
+
+func (c *expireAt) Err() error {
+	c.calls++
+	if c.k > 0 && c.calls >= c.k {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestCompileContextReachesRegalloc pins that the compile's context reaches
+// greedy allocation: some poll of a full compile happens inside regalloc,
+// so a deadline there ends the compile with regalloc's wrapped error, not
+// at the next phase boundary.
+func TestCompileContextReachesRegalloc(t *testing.T) {
+	f := workload.RandomSized(5, 600)
+	opts := Options{File: bankfile.RV2(4), Method: MethodBPC}
+	count := &expireAt{Context: context.Background()}
+	if _, err := CompileContext(count, f, opts); err != nil {
+		t.Fatal(err)
+	}
+	// The last polls are the phase boundaries after regalloc; walk back
+	// from the end until a deadline lands inside the allocator.
+	for k := count.calls; k > 0; k-- {
+		_, err := CompileContext(&expireAt{Context: context.Background(), k: k}, f, opts)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline at poll %d of %d: got %v, want context.DeadlineExceeded", k, count.calls, err)
+		}
+		if strings.Contains(err.Error(), "regalloc: "+f.Name+": ") {
+			return
+		}
+	}
+	t.Fatalf("no poll of %d landed inside regalloc", count.calls)
 }
