@@ -18,8 +18,10 @@ import (
 // statistics, per configuration. The digests were taken before the
 // scheduler, SDG grouping and bpc candidate rewrites, so those rewrites
 // (and any later refactor of the pipeline) must reproduce the old output
-// byte for byte. The text/* digests pin the MIR text path itself (Print,
-// PrintModule, Fingerprint and the Parse round trip); they were taken
+// byte for byte. The rv2/*/ls-*, binpack and coloring digests were taken
+// before linear scan, coloring and binpacking moved onto one shared
+// scratch-register frame. The text/* digests pin the MIR text path itself
+// (Print, PrintModule, Fingerprint and the Parse round trip); they were taken
 // before the single-pass parser and append-based formatter, and since
 // fingerprints name disk-cache records and place kernels on the router's
 // ring, they must never move. A deliberate output change updates these
@@ -36,6 +38,14 @@ var goldenWant = map[string]string{
 	"rv2/4/bcr":             "01cc40e0d76625b1363c2cc8ba76da09cd56cf934f09d48f2f5801b9c655ff8b",
 	"rv2/4/brc":             "e358950b35aa89d2998cd520059689607619d7fc96f8f128dbbb06bf895641f5",
 	"rv2/4/bpc":             "a71b91b31514a1236bfe2102c5e1dd07f8bdc487697ea34d8d2e34ea18d0bcc7",
+	"rv2/2/ls-non":          "82eb98c0c38df4be1b37ab8f35a4203fda1b8919b21f87e756497907bae2a515",
+	"rv2/2/ls-bpc":          "6b2d377e894b20401b936a6166cb300c570d7b7bf849ab9ffb22a735d6b38cbb",
+	"rv2/2/binpack":         "ad815bb11c30f03809ea909ed69446dcfb328d54a714241feb216a4dfdf43ee4",
+	"rv2/2/coloring":        "f4fa2c536df188ed1466aa20ccc8e31cc426a7acc0df4fd4f1ffafecd17097e9",
+	"rv2/4/ls-non":          "4d500e5b745a3e8161b1cdce0d7068a2ad84b61760145d5fb8b304b69f005f03",
+	"rv2/4/ls-bpc":          "726996b5d3f82f5055df6edcb537cfe61fcc0cf304b942d03a57d3bd6e3f3121",
+	"rv2/4/binpack":         "6699ec24bc8859332ad131c56b82bcf1dbd4276a74d880fe72815905d815520b",
+	"rv2/4/coloring":        "619d638e95ddb673fd6da72990ee162c5751cda295b4a74a984c7257b666a030",
 	"text/SPECfp":           "1ab32701ad50697bb9b862d3ab8a848c0b85205cb6389c3adb74d24894b1bfa4",
 	"text/CNN-KERNEL":       "73cbbb1a7205a9cbda382688a5fa5040f3066ece1339881da28c9e1aec0bbf83",
 	"text/DSA-OP":           "6bfa69b9f44f75e98c162bb76590467a60c775be429c66e002b181a99fc31e24",
@@ -66,6 +76,28 @@ func goldenCases() []goldenCase {
 				fmt.Sprintf("rv2/%d/%s", banks, m),
 				[]*workload.Suite{spec, cnn},
 				Options{File: bankfile.RV2(banks), Method: m},
+			})
+		}
+	}
+	// The alternative allocators on the same RV#2 points, over all three
+	// suites: linear scan under non and bpc, binpacking and coloring.
+	alt := []struct {
+		name string
+		opts Options
+	}{
+		{"ls-non", Options{Method: MethodNon, LinearScan: true}},
+		{"ls-bpc", Options{Method: MethodBPC, LinearScan: true}},
+		{"binpack", Options{Method: MethodBinpack}},
+		{"coloring", Options{Method: MethodColoring}},
+	}
+	for _, banks := range []int{2, 4} {
+		for _, a := range alt {
+			o := a.opts
+			o.File = bankfile.RV2(banks)
+			cases = append(cases, goldenCase{
+				fmt.Sprintf("rv2/%d/%s", banks, a.name),
+				[]*workload.Suite{spec, cnn, dsa},
+				o,
 			})
 		}
 	}
@@ -163,11 +195,12 @@ func textSuiteDigest(t *testing.T, s *workload.Suite) string {
 
 // TestGoldenOutputs pins the pipeline's output bytes on the whole
 // SPECfp, CNN-KERNEL and DSA-OP corpus: the benchmark's batch-cold
-// configuration plus every RV#2 sweep cell, and the text path's printed
+// configuration plus every RV#2 sweep cell, the alternative allocators at
+// the same RV#2 points, and the text path's printed
 // bytes and fingerprints on the same corpus.
 func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles the whole corpus nine times")
+		t.Skip("compiles the whole corpus seventeen times")
 	}
 	for _, c := range goldenCases() {
 		c := c
