@@ -23,7 +23,8 @@ var stubFuncs = []string{
 	// sort / slices
 	"Slice", "SliceStable", "Sort", "Stable", "Strings", "Ints", "Float64s",
 	// pipeline phases + queries
-	"Run", "RunCached", "RunLinearScan", "Split", "PresCount",
+	"Run", "RunCached", "RunContext", "RunLinearScan", "RunBinpack", "RunColoring",
+	"Split", "PresCount",
 	"Analyze", "AnalyzeWith", "Build", "Compute",
 }
 

@@ -37,7 +37,9 @@ var phaseRanks = map[string]map[string]int{
 	"prescount/internal/sdg":      {"Split": 2},
 	"prescount/internal/sched":    {"Run": 3},
 	"prescount/internal/assign":   {"PresCount": 4},
-	"prescount/internal/regalloc": {"Run": 5, "RunLinearScan": 5},
+	"prescount/internal/regalloc": {
+		"Run": 5, "RunContext": 5, "RunLinearScan": 5, "RunBinpack": 5, "RunColoring": 5,
+	},
 	"prescount/internal/renumber": {"Run": 6},
 	"prescount/internal/conflict": {"Analyze": 7, "AnalyzeWith": 7},
 }

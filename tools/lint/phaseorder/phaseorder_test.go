@@ -67,6 +67,23 @@ func TestPhaseOrder(t *testing.T) {
 			want: []string{"sched.Run"},
 		},
 		{
+			// core picks its allocator in a switch: every entry ranks.
+			name: "runcontext-before-sched-flagged",
+			src: `func pipeline(f any) {
+	regalloc.RunContext(f)
+	sched.Run(f)
+}`,
+			want: []string{"sched.Run"},
+		},
+		{
+			name: "runbinpack-after-conflict-flagged",
+			src: `func pipeline(f any) {
+	conflict.Analyze(f)
+	regalloc.RunBinpack(f)
+}`,
+			want: []string{"regalloc.RunBinpack"},
+		},
+		{
 			name: "coalesce-after-split-flagged",
 			src: `func pipeline(f any) {
 	sdg.Split(f)
