@@ -10,9 +10,8 @@
 //	-subgroups N   subgroups per bank (default 1; >1 enables the DSA path)
 //	-method M      non | bcr | brc | bpc | binpack | coloring (default bpc),
 //	               or "portfolio" (race bpc, brc, binpack and coloring per
-//	               function, keep the cheapest result)
-//	-coloring-timeout D  deterministic work budget of the coloring
-//	               allocator before it bails to linear scan (default 250ms)
+//	               function, keep the cheapest result); coloring bails to
+//	               linear scan past a fixed deterministic work budget
 //	-dump          print the allocated MIR
 //	-run           simulate the allocated code and report dynamic metrics
 //	-vliw          use the dual-issue VLIW cycle model when simulating
@@ -73,7 +72,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	banks := fs.Int("banks", 2, "number of register banks")
 	subgroups := fs.Int("subgroups", 1, "subgroups per bank (>1 enables the DSA pipeline)")
 	method := fs.String("method", "bpc", "allocation method: non | bcr | brc | bpc | binpack | coloring | portfolio")
-	coloringTimeout := fs.Duration("coloring-timeout", 0, "coloring allocator work budget before bailing to linear scan (0 = default)")
 	dump := fs.Bool("dump", false, "print the allocated MIR")
 	dot := fs.String("dot", "", "emit a Graphviz document of the pre-allocation analyses: rig | rcg | sdg")
 	runSim := fs.Bool("run", false, "simulate the allocated code")
@@ -100,8 +98,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	opts := prescount.Options{
 		File: file, Method: m, Subgroups: *subgroups > 1,
-		ColoringTimeout: *coloringTimeout, VerifyEach: *verifyEach,
-		Validate: *validate,
+		VerifyEach: *verifyEach, Validate: *validate,
 	}
 	switch *cacheMode {
 	case "on":

@@ -132,6 +132,16 @@ func TestUnknownMethodReturnsError(t *testing.T) {
 	}
 }
 
+// TestRetiredFlagReturnsError: the coloring budget is a constant now, so
+// its old flag is unknown and fails before compiling.
+func TestRetiredFlagReturnsError(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-coloring-timeout", "1s"}, strings.NewReader(kernelA), &out)
+	if err == nil || !strings.Contains(err.Error(), "coloring-timeout") {
+		t.Errorf("-coloring-timeout: err = %v, want an unknown-flag error", err)
+	}
+}
+
 // pairModule is a two-function module: a loop whose fma reads three FP
 // registers, and a straight-line kernel.
 const pairModule = `module pair

@@ -13,9 +13,9 @@ import (
 
 // codecCases spans the option space the codec must round-trip: every
 // method, both platform shapes, the DSA subgroup path and linear scan.
-// Binpack and coloring carry the Rescues and ColoringBailed stats (a
-// one-unit coloring budget bails). A portfolio result is one of these,
-// and TestDiskServedByteIdentity needs every case to land on disk, which a
+// TestCodecRoundTrip also round-trips the Rescues and ColoringBailed stats,
+// set by hand. A portfolio result is one of these, and
+// TestDiskServedByteIdentity needs every case to land on disk, which a
 // race's zero-score short-circuit does not promise for its losers.
 func codecCases() []Options {
 	return []Options{
@@ -26,7 +26,7 @@ func codecCases() []Options {
 		{File: bankfile.Config{NumRegs: 1024, NumBanks: 2, NumSubgroups: 4}, Method: MethodBPC, Subgroups: true},
 		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodNon, LinearScan: true},
 		{File: bankfile.Config{NumRegs: 16, NumBanks: 2}, Method: MethodBinpack},
-		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodColoring, ColoringTimeout: 1},
+		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodColoring},
 	}
 }
 
@@ -86,14 +86,12 @@ func assertResultsEqual(t *testing.T, want, got *Result, label string) {
 // every field, re-encoding is byte-identical, and the decoded result is
 // byte-identical to a fresh compile of the same input.
 func TestCodecRoundTrip(t *testing.T) {
-	bailed := false
 	for _, f := range codecFuncs(t) {
 		for _, opts := range codecCases() {
 			res, err := Compile(f, opts)
 			if err != nil {
 				t.Fatalf("%s: compile: %v", f.Name, err)
 			}
-			bailed = bailed || res.Alloc.ColoringBailed
 			enc, err := EncodeResult(res)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", f.Name, err)
@@ -122,27 +120,33 @@ func TestCodecRoundTrip(t *testing.T) {
 			assertResultsEqual(t, fresh, dec, f.Name+" (vs fresh)")
 		}
 	}
-	if !bailed {
-		t.Error("no coloring case bailed, so ColoringBailed never round-tripped")
+	// Set the binpack and coloring stats by hand, so they round-trip
+	// whether or not a case above sets them.
+	for _, c := range []struct {
+		method Method
+		set    func(*regalloc.Result)
+	}{
+		{MethodBinpack, func(a *regalloc.Result) { a.Rescues = 3 }},
+		{MethodColoring, func(a *regalloc.Result) { a.ColoringBailed = true }},
+	} {
+		res, err := Compile(codecFuncs(t)[0], Options{File: bankfile.RV2(2), Method: c.method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := *res
+		alloc := *res.Alloc
+		c.set(&alloc)
+		set.Alloc = &alloc
+		enc, err := EncodeResult(&set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsEqual(t, &set, dec, c.method.String()+" stats set by hand")
 	}
-	// No corpus function makes binpack rescue, so set the count by hand.
-	res, err := Compile(codecFuncs(t)[0], Options{File: bankfile.RV2(2), Method: MethodBinpack})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rescued := *res
-	alloc := *res.Alloc
-	alloc.Rescues = 3
-	rescued.Alloc = &alloc
-	enc, err := EncodeResult(&rescued)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeResult(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, &rescued, dec, "rescued")
 }
 
 // TestCodecRejectsPortfolioMethod pins that a decoded result names one of

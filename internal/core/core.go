@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"prescount/internal/analysis"
 	"prescount/internal/assign"
@@ -92,14 +91,6 @@ type Options struct {
 	// methods). Incompatible with Subgroups, MethodBCR and the allocator
 	// methods (binpack, coloring), which select their own allocator.
 	LinearScan bool
-	// ColoringTimeout is the coloring allocator's deterministic work budget
-	// (MethodColoring only; 0 selects the default). Exhausting it bails to
-	// linear scan; only the request context's deadline aborts the compile.
-	ColoringTimeout time.Duration
-	// BinpackMaxRescues bounds the second chances one virtual register may
-	// receive from the binpacking allocator (MethodBinpack only; 0 selects
-	// the default).
-	BinpackMaxRescues int
 	// VerifySemantics simulates the function before and after compilation
 	// and fails on divergent memory images (slow; meant for tests).
 	VerifySemantics bool
@@ -392,10 +383,7 @@ func runAlloc(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Optio
 	// Phase 4 (bpc only): RCG-based bank assignment. It reuses the live
 	// range information and does not modify the IR, so the liveness pulled
 	// here stays valid for Phase 5's allocator.
-	raOpts := regalloc.Options{
-		Cfg: opts.File, Method: opts.Method, Analyses: ac,
-		ColoringTimeout: opts.ColoringTimeout, BinpackMaxRescues: opts.BinpackMaxRescues,
-	}
+	raOpts := regalloc.Options{Cfg: opts.File, Method: opts.Method, Analyses: ac}
 	if opts.Method == MethodBPC {
 		if err := phaseCheck(ctx, work, "bank-assign"); err != nil {
 			return err
@@ -439,20 +427,18 @@ func runAlloc(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Optio
 		raOpts.Record = true
 		preEntry = verify.EntryLive(work)
 	}
-	run := func(f *ir.Func, o regalloc.Options) (*regalloc.Result, error) {
-		return regalloc.RunContext(ctx, f, o)
-	}
+	var alloc *regalloc.Result
+	var err error
 	switch {
 	case opts.Method == MethodBinpack:
-		run = regalloc.RunBinpack
+		alloc, err = regalloc.RunBinpack(work, raOpts)
 	case opts.Method == MethodColoring:
-		run = func(f *ir.Func, o regalloc.Options) (*regalloc.Result, error) {
-			return regalloc.RunColoring(ctx, f, o)
-		}
+		alloc, err = regalloc.RunColoring(ctx, work, raOpts)
 	case opts.LinearScan:
-		run = regalloc.RunLinearScan
+		alloc, err = regalloc.RunLinearScan(work, raOpts)
+	default:
+		alloc, err = regalloc.RunContext(ctx, work, raOpts)
 	}
-	alloc, err := run(work, raOpts)
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", work.Name, err)
 	}

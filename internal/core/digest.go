@@ -62,21 +62,14 @@ func (o Options) FullDigest() uint64 {
 	writeU64(h, uint64(int64(file.NumSubgroups)))
 	writeU64(h, uint64(int64(file.ReadPorts)))
 	writeU64(h, uint64(int64(o.Method)))
-	// The method-specific knobs are hashed only under a method that reads
-	// them: hashing one under any other method would split identical
-	// compiles into distinct cache entries. A portfolio compile runs every
-	// candidate, so it reads them all.
-	race := o.Method == MethodPortfolio
-	if o.Method == MethodBPC || race {
+	// Algorithm 1's knobs are hashed only under a method that reads them:
+	// hashing them under any other method would split identical compiles
+	// into distinct cache entries. A portfolio compile races bpc, so it
+	// reads them too.
+	if o.Method == MethodBPC || o.Method == MethodPortfolio {
 		writeU64(h, math.Float64bits(o.THRES))
 		writeBool(h, o.DisablePressure)
 		writeBool(h, o.DisableFreeHints)
-	}
-	if o.Method == MethodColoring || race {
-		writeU64(h, uint64(int64(o.ColoringTimeout)))
-	}
-	if o.Method == MethodBinpack || race {
-		writeU64(h, uint64(int64(o.BinpackMaxRescues)))
 	}
 	writeBool(h, o.LinearScan)
 	return h.Sum64()

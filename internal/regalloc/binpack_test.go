@@ -6,6 +6,7 @@ import (
 	"prescount/internal/bankfile"
 	"prescount/internal/ir"
 	"prescount/internal/sim"
+	"prescount/internal/tv"
 )
 
 func runBinpack(t *testing.T, f *ir.Func, cfgFile bankfile.Config) (*Result, *ir.Func) {
@@ -70,29 +71,76 @@ func TestBinpackSecondChanceUnderPressure(t *testing.T) {
 	}
 }
 
-func TestBinpackRescueCap(t *testing.T) {
-	// A tiny rescue budget must still produce a correct program.
-	orig := widePressure(64)
+// rescueMIR makes binpack's second chance fire on a 5-register, 1-bank
+// file. Six values live at once up front (%4..%9, equal weights, so none
+// evicts another) force the repack that reserves three FP scratch
+// registers, leaving two bins. Then %1 loads, %2 loads while %1 is live,
+// %1 is stored, %3 loads, and %1 is loaded again while %3 is live: %1's
+// live range has a hole. %2 is the heaviest and %3 outweighs %1, so %3
+// evicts %1 at %3's start, and %1's remainder (its second segment) is
+// requeued. %2 dies before that segment starts, so the remainder finds
+// %2's bin free: a rescue.
+const rescueMIR = `func @rescue {
+ entry:
+  %0:gpr = iconst 0
+  %4:fp = fload %0, 0
+  %5:fp = fload %0, 1
+  %6:fp = fload %0, 2
+  %7:fp = fload %0, 3
+  %8:fp = fload %0, 4
+  %9:fp = fload %0, 5
+  fstore %4, %0, 10
+  fstore %5, %0, 11
+  fstore %6, %0, 12
+  fstore %7, %0, 13
+  fstore %8, %0, 14
+  fstore %9, %0, 15
+  %1:fp = fload %0, 0
+  %2:fp = fload %0, 1
+  fstore %2, %0, 16
+  fstore %2, %0, 17
+  fstore %1, %0, 18
+  %3:fp = fload %0, 2
+  fstore %2, %0, 19
+  fstore %3, %0, 20
+  fstore %2, %0, 21
+  %1:fp = fload %0, 3
+  fstore %3, %0, 22
+  fstore %3, %0, 23
+  fstore %1, %0, 24
+  fstore %3, %0, 25
+  ret
+}
+`
+
+// TestBinpackRescueFires shows the rescue path is reachable: an evicted
+// remainder is re-placed into another register, and the rewrite stays
+// correct under both oracles (a concrete simulation and the translation
+// validator).
+func TestBinpackRescueFires(t *testing.T) {
+	orig, err := ir.Parse(rescueMIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := bankfile.Config{NumRegs: 5, NumBanks: 1, NumSubgroups: 1, ReadPorts: 1}
+	res, af := runBinpack(t, orig.Clone(), file)
+	if res.Rescues < 1 {
+		t.Fatalf("Rescues = %d (Evictions %d), want at least one", res.Rescues, res.Evictions)
+	}
 	ref, err := sim.Run(orig, sim.Options{MemSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := orig.Clone()
-	res, err := RunBinpack(f, Options{Cfg: bankfile.RV2(2), Method: MethodBinpack, BinpackMaxRescues: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sim.Run(f, sim.Options{MemSize: 64, File: bankfile.RV2(2)})
+	got, err := sim.Run(af, sim.Options{MemSize: 64, File: file})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.MemChecksum != ref.MemChecksum {
-		t.Error("rescue cap changed semantics")
+		t.Error("a rescued remainder changed semantics")
 	}
-	_ = res
+	if err := tv.Check(orig, af, file.NumRegs); err != nil {
+		t.Errorf("translation validation: %v", err)
+	}
 }
 
 func TestBinpackDeterministic(t *testing.T) {
@@ -108,30 +156,8 @@ func TestBinpackDeterministic(t *testing.T) {
 func TestBinpackControlFlow(t *testing.T) {
 	// Loop-carried values under overpressure: the per-block reload
 	// discipline must keep back edges correct.
-	mk := func(n int) *ir.Func {
-		bd := ir.NewBuilder("loopy")
-		base := bd.IConst(0)
-		for i := 0; i < 16; i++ {
-			c := bd.FConst(float64(i) + 1)
-			bd.FStore(c, base, int64(i))
-		}
-		var vals []ir.Reg
-		for i := 0; i < n; i++ {
-			vals = append(vals, bd.FLoad(base, int64(i%16)))
-		}
-		sum := bd.FConst(0)
-		bd.Loop(6, 1, func(ir.Reg) {
-			for _, v := range vals {
-				s := bd.FAdd(sum, v)
-				bd.Assign(sum, s)
-			}
-		})
-		bd.FStore(sum, base, 20)
-		bd.Ret()
-		return bd.Func()
-	}
 	for _, n := range []int{8, 40, 64} {
-		orig := mk(n)
+		orig := loopPressure(n)
 		ref, err := sim.Run(orig, sim.Options{MemSize: 64})
 		if err != nil {
 			t.Fatal(err)

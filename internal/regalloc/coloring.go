@@ -6,23 +6,19 @@ import (
 	"sort"
 	"time"
 
-	"prescount/internal/cfg"
 	"prescount/internal/ir"
-	"prescount/internal/liveness"
-	"prescount/internal/rcg"
 )
 
-// defaultColoringTimeout is the work budget used when Options.ColoringTimeout
-// is zero. It is generous: the budget exists to bound the worst case, not to
-// trim the common one.
-const defaultColoringTimeout = 250 * time.Millisecond
-
-// coloringUnit is the nominal cost of one unit of coloring work. The
-// duration budget is divided by this to obtain a unit count, and from then
-// on the allocator counts units instead of reading the clock — so whether a
-// given function bails to linear scan is a pure function of its IR and
-// options, identical run to run and across pool sizes.
-const coloringUnit = 100 * time.Nanosecond
+// coloringUnit is the nominal cost of one unit of coloring work, and
+// coloringBudget the units one run may spend: 250 ms' worth. The allocator
+// counts units instead of reading the clock, so whether a given function
+// bails to linear scan is a pure function of its IR and options, identical
+// run to run and across pool sizes. The budget is generous: it exists to
+// bound the worst case, not to trim the common one.
+const (
+	coloringUnit   = 100 * time.Nanosecond
+	coloringBudget = int64(250 * time.Millisecond / coloringUnit)
+)
 
 // coloringCtxStride is how many budget units elapse between context checks.
 const coloringCtxStride = 4096
@@ -41,112 +37,46 @@ const coloringCtxStride = 4096
 // under linear scan.
 //
 // Every structural step (edge built, node scanned, neighbor visited) costs
-// one budget unit. When the budget runs out the allocator abandons the
-// graph — f has not been touched yet — and falls back to RunLinearScan,
-// reporting ColoringBailed. The context is only consulted every
+// one budget unit. When the budget runs out the allocator resets its frame
+// and runs linear scan instead — f has not been touched yet, spill slots
+// included — reporting ColoringBailed. The context is only consulted every
 // coloringCtxStride units: a past deadline aborts the compile with the
 // context's error (the daemon's 504 path), it never changes the allocation.
 func RunColoring(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
-	opts.Cfg = opts.Cfg.Normalize()
-	if err := opts.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	timeout := opts.ColoringTimeout
-	if timeout <= 0 {
-		timeout = defaultColoringTimeout
-	}
-	const (
-		fpScratch  = 3
-		gprScratch = 2
-	)
-	if opts.Cfg.NumRegs <= fpScratch {
-		return nil, fmt.Errorf("regalloc: FP file of %d registers too small for coloring scratch", opts.Cfg.NumRegs)
-	}
+	return runColoring(ctx, f, opts, coloringBudget)
+}
 
-	cl := &coloring{
-		f:      f,
-		opts:   opts,
-		budget: int64(timeout / coloringUnit),
-		ctx:    ctx,
-	}
-	if ac := opts.Analyses; ac != nil {
-		cl.cf = ac.CFG()
-		cl.lv = ac.Liveness()
-		cl.g = ac.RCG()
-	} else {
-		cl.cf = cfg.Compute(f)
-		cl.lv = liveness.Compute(f, cl.cf)
-		cl.g = rcg.Build(f, cl.cf)
-	}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			if in.Op == ir.OpCall {
-				cl.callSlots = append(cl.callSlots, cl.lv.ReadSlot(b, i))
-			}
-		}
-	}
-
-	ls := &linearScan{
-		f:    f,
-		opts: opts,
-		res: &Result{
-			AssignedPhys: map[ir.Reg]int{},
-			GroupDispl:   map[int]int{},
-		},
-		cf:         cl.cf,
-		lv:         cl.lv,
-		assignment: map[ir.Reg]int{},
-		spillSlot:  map[ir.Reg]int{},
-	}
-	ls.fpScratch = make([]int, 0, fpScratch)
-	for i := opts.Cfg.NumRegs - fpScratch; i < opts.Cfg.NumRegs; i++ {
-		ls.fpScratch = append(ls.fpScratch, i)
-	}
-	ls.gprScratch = []int{numGPRFile - gprScratch, numGPRFile - 1}
-	cl.ls = ls
-
-	err := func() error {
-		if err := cl.color(ir.ClassFP); err != nil {
-			return err
-		}
-		return cl.color(ir.ClassGPR)
-	}()
-	if err == errColoringBudget {
-		// Bail: f is untouched, hand the whole function to linear scan.
-		res, lerr := RunLinearScan(f, opts)
-		if lerr != nil {
-			return nil, lerr
-		}
-		res.ColoringBailed = true
-		return res, nil
-	}
+// runColoring is RunColoring with a budget of the given number of units.
+func runColoring(ctx context.Context, f *ir.Func, opts Options, budget int64) (*Result, error) {
+	fr, err := newFrame(f, opts, true)
 	if err != nil {
 		return nil, err
 	}
-
-	if opts.Record {
-		record(ls.res, f, ls.lv, mapLookup(ls.assignment), ls.lv.IntervalOf, mapLookup(ls.spillSlot))
+	if err := fr.reserveAll(); err != nil {
+		return nil, err
 	}
-	ls.materialize()
-	f.MarkMutated()
-	if ac := opts.Analyses; ac != nil {
-		ac.RetainCFG()
+	cl := &coloring{frame: fr, budget: budget, ctx: ctx}
+	err = cl.color(ir.ClassFP)
+	if err == nil {
+		err = cl.color(ir.ClassGPR)
 	}
-	return ls.res, f.Verify()
+	if err == errColoringBudget {
+		// Nothing has reached f yet: allocate it afresh by linear scan.
+		fr.reset()
+		fr.scan(ir.ClassFP)
+		fr.scan(ir.ClassGPR)
+		fr.res.ColoringBailed = true
+	} else if err != nil {
+		return nil, err
+	}
+	return fr.finish()
 }
 
 // errColoringBudget is the internal signal that the work budget ran out.
 var errColoringBudget = fmt.Errorf("regalloc: coloring work budget exhausted")
 
 type coloring struct {
-	f    *ir.Func
-	opts Options
-	cf   *cfg.Info
-	lv   *liveness.Info
-	g    *rcg.Graph
-	ls   *linearScan
-
-	callSlots []int
+	*frame
 
 	budget   int64
 	sinceCtx int64
@@ -173,32 +103,11 @@ func (cl *coloring) charge(n int64) error {
 	return nil
 }
 
-func (cl *coloring) spansCall(iv *liveness.Interval) bool {
-	for _, s := range cl.callSlots {
-		if iv.Covers(s) {
-			return true
-		}
-	}
-	return false
-}
-
 // color runs build/simplify/select for one register class.
 func (cl *coloring) color(c ir.Class) error {
 	// Nodes: vreg indices of this class with non-empty intervals,
 	// renumbered densely.
-	var vregs []int
-	nodeOf := make(map[int]int)
-	for idx, info := range cl.f.VRegs {
-		if info.Class != c {
-			continue
-		}
-		iv := cl.lv.Intervals[idx]
-		if iv == nil || iv.Empty() {
-			continue
-		}
-		nodeOf[idx] = len(vregs)
-		vregs = append(vregs, idx)
-	}
+	vregs := cl.regs(c)
 	n := len(vregs)
 	if n == 0 {
 		return nil
@@ -212,8 +121,8 @@ func (cl *coloring) color(c ir.Class) error {
 		node  int
 	}
 	var events []event
-	for node, idx := range vregs {
-		for _, s := range cl.lv.Intervals[idx].Segments {
+	for node, r := range vregs {
+		for _, s := range cl.lv.IntervalOf(r).Segments {
 			events = append(events, event{s.Start, true, node})
 			events = append(events, event{s.End, false, node})
 		}
@@ -274,11 +183,7 @@ func (cl *coloring) color(c ir.Class) error {
 		}
 	}
 
-	numRegs := cl.opts.Cfg.NumRegs
-	if c == ir.ClassGPR {
-		numRegs = numGPRFile
-	}
-	k := numRegs - len(cl.ls.scratch(c))
+	k := cl.numRegs(c) - len(cl.scratch(c))
 
 	// Simplify: peel degree<k nodes; when stuck, push the node with the
 	// smallest weight/degree ratio as an optimistic spill candidate.
@@ -306,7 +211,7 @@ func (cl *coloring) color(c ir.Class) error {
 				if removed[i] {
 					continue
 				}
-				ratio := cl.lv.Intervals[vregs[i]].Weight / float64(degree[i]+1)
+				ratio := cl.lv.IntervalOf(vregs[i]).Weight / float64(degree[i]+1)
 				if pick < 0 || ratio < best {
 					pick, best = i, ratio
 				}
@@ -321,86 +226,34 @@ func (cl *coloring) color(c ir.Class) error {
 		}
 	}
 
-	// Select: color in reverse removal order. Bank-aware choice for FP:
-	// among the legal registers, minimize the RCG edge weight to already
-	// colored conflict partners sharing the candidate's bank.
+	// Select: color in reverse removal order, bank-aware for FP (bestReg).
 	color := make([]int, n)
 	for i := range color {
 		color[i] = -1
 	}
-	order := gprOrder()
-	if c == ir.ClassFP {
-		order = allocOrder(numRegs)
-	}
-	scratchSet := make([]bool, numRegs)
-	for _, s := range cl.ls.scratch(c) {
-		scratchSet[s] = true
-	}
-	forbidden := make([]bool, numRegs)
+	forbidden := make([]bool, cl.numRegs(c))
+	free := func(p int) bool { return !forbidden[p] }
 	for i := len(stack) - 1; i >= 0; i-- {
 		node := stack[i]
-		idx := vregs[node]
-		r := ir.VReg(idx)
-		iv := cl.lv.Intervals[idx]
+		r := vregs[node]
 		if err := cl.charge(int64(len(adj[node]) + 1)); err != nil {
 			return err
 		}
-		for p := range forbidden {
-			forbidden[p] = false
-		}
+		clear(forbidden)
 		for _, nb := range adj[node] {
 			if color[nb] >= 0 {
 				forbidden[color[nb]] = true
 			}
 		}
-		crossesCall := cl.spansCall(iv)
-		bestP, bestPen := -1, 0.0
-		for _, p := range order {
-			if scratchSet[p] || forbidden[p] {
-				continue
-			}
-			if crossesCall && callerSaved(c, p, numRegs) {
-				continue
-			}
-			if c == ir.ClassGPR {
-				bestP = p
-				break
-			}
-			pen := cl.bankPenalty(r, p, vregs, nodeOf, color)
-			if bestP < 0 || pen < bestPen {
-				bestP, bestPen = p, pen
-				if pen == 0 {
-					break
-				}
-			}
-		}
-		if bestP < 0 {
+		iv := cl.lv.IntervalOf(r)
+		p := cl.bestReg(r, c, iv, free)
+		if p < 0 {
 			// Uncolorable: spill the whole range through scratch.
-			cl.ls.spillReg(r)
+			cl.mark(r)
 			continue
 		}
-		color[node] = bestP
-		cl.ls.place(r, c, bestP)
+		color[node] = p
+		cl.place(r, p, iv)
 	}
 	return nil
-}
-
-// bankPenalty sums RCG edge weight between r and its already colored
-// conflict partners whose register shares candidate p's bank.
-func (cl *coloring) bankPenalty(r ir.Reg, p int, vregs []int, nodeOf map[int]int, color []int) float64 {
-	bank := cl.opts.Cfg.Bank(p)
-	pen := 0.0
-	for _, nb := range cl.g.Neighbors(r) {
-		if !nb.IsVirt() {
-			continue
-		}
-		node, ok := nodeOf[nb.VirtIndex()]
-		if !ok || color[node] < 0 {
-			continue
-		}
-		if cl.opts.Cfg.Bank(color[node]) == bank {
-			pen += cl.g.EdgeWeight(r, nb)
-		}
-	}
-	return pen
 }

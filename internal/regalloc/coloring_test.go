@@ -3,7 +3,6 @@ package regalloc
 import (
 	"context"
 	"testing"
-	"time"
 
 	"prescount/internal/bankfile"
 	"prescount/internal/conflict"
@@ -11,11 +10,11 @@ import (
 	"prescount/internal/sim"
 )
 
-func runColoring(t *testing.T, f *ir.Func, cfgFile bankfile.Config, timeout time.Duration) (*Result, *ir.Func) {
+// colorWithBudget runs the coloring allocator with a work budget of the
+// given number of units.
+func colorWithBudget(t *testing.T, f *ir.Func, cfgFile bankfile.Config, budget int64) (*Result, *ir.Func) {
 	t.Helper()
-	r, err := RunColoring(context.Background(), f, Options{
-		Cfg: cfgFile, Method: MethodColoring, ColoringTimeout: timeout,
-	})
+	r, err := runColoring(context.Background(), f, Options{Cfg: cfgFile, Method: MethodColoring}, budget)
 	if err != nil {
 		t.Fatalf("RunColoring: %v", err)
 	}
@@ -27,7 +26,7 @@ func runColoring(t *testing.T, f *ir.Func, cfgFile bankfile.Config, timeout time
 }
 
 func TestColoringAllocates(t *testing.T) {
-	res, _ := runColoring(t, widePressure(8), bankfile.RV2(2), 0)
+	res, _ := colorWithBudget(t, widePressure(8), bankfile.RV2(2), coloringBudget)
 	if res.SpilledVRegs != 0 {
 		t.Errorf("unexpected spills %d", res.SpilledVRegs)
 	}
@@ -44,7 +43,7 @@ func TestColoringPreservesSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		work := orig.Clone()
-		_, af := runColoring(t, work, bankfile.RV2(2), 0)
+		_, af := colorWithBudget(t, work, bankfile.RV2(2), coloringBudget)
 		got, err := sim.Run(af, sim.Options{MemSize: 64, File: bankfile.RV2(2)})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -56,7 +55,7 @@ func TestColoringPreservesSemantics(t *testing.T) {
 }
 
 func TestColoringSpillsUnderPressure(t *testing.T) {
-	res, _ := runColoring(t, widePressure(64), bankfile.RV2(2), 0)
+	res, _ := colorWithBudget(t, widePressure(64), bankfile.RV2(2), coloringBudget)
 	if res.SpilledVRegs == 0 {
 		t.Fatal("expected spills under 2x overpressure")
 	}
@@ -66,17 +65,17 @@ func TestColoringSpillsUnderPressure(t *testing.T) {
 }
 
 func TestColoringBailsOnTinyBudget(t *testing.T) {
-	// A 1ns budget cannot even build the graph: the allocator must bail to
-	// linear scan, still producing a valid allocation.
+	// An empty budget cannot even build the graph: the allocator must bail
+	// to linear scan, still producing a valid allocation.
 	orig := widePressure(40)
 	ref, err := sim.Run(orig, sim.Options{MemSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := orig.Clone()
-	res, af := runColoring(t, f, bankfile.RV2(2), time.Nanosecond)
+	res, af := colorWithBudget(t, f, bankfile.RV2(2), 0)
 	if !res.ColoringBailed {
-		t.Fatal("1ns budget did not trigger the bail path")
+		t.Fatal("an empty budget did not trigger the bail path")
 	}
 	got, err := sim.Run(af, sim.Options{MemSize: 64, File: bankfile.RV2(2)})
 	if err != nil {
@@ -87,19 +86,65 @@ func TestColoringBailsOnTinyBudget(t *testing.T) {
 	}
 }
 
+// TestColoringBailMatchesLinearScan sweeps the coloring budget: whenever
+// coloring bails, its output must be linear scan's on a fresh copy of the
+// function, printed text and spill slots alike, so nothing of the
+// abandoned attempt (a spill slot taken in the FP pass, say) survives.
+func TestColoringBailMatchesLinearScan(t *testing.T) {
+	file := bankfile.RV2(2)
+	for _, n := range []int{40, 64, 100} {
+		bailed := func(budget int64) bool {
+			res, _ := colorWithBudget(t, widePressure(n), file, budget)
+			return res.ColoringBailed
+		}
+		// The charges do not depend on the budget, so a run bails exactly
+		// when its budget is below the total work: find that total, and
+		// sweep up to it. One unit short bails at the last charge, after
+		// both passes placed and spilled.
+		lo, total := int64(0), coloringBudget
+		for total-lo > 1 {
+			if mid := (lo + total) / 2; bailed(mid) {
+				lo = mid
+			} else {
+				total = mid
+			}
+		}
+		ls := widePressure(n)
+		if _, err := RunLinearScan(ls, Options{Cfg: file}); err != nil {
+			t.Fatal(err)
+		}
+		want := ir.Print(ls)
+		bails := 0
+		for _, budget := range []int64{0, total / 4, total / 2, 3 * total / 4, total - 2, total - 1, total} {
+			res, f := colorWithBudget(t, widePressure(n), file, budget)
+			if !res.ColoringBailed {
+				continue
+			}
+			bails++
+			if got := ir.Print(f); got != want || f.SpillSlots != ls.SpillSlots {
+				t.Errorf("n=%d budget=%d of %d: bailed output differs from linear scan (spill slots %d, want %d)",
+					n, budget, total, f.SpillSlots, ls.SpillSlots)
+			}
+		}
+		if bails == 0 || bailed(total) {
+			t.Errorf("n=%d: the sweep did not straddle the bail point (%d bails, total %d)", n, bails, total)
+		}
+	}
+}
+
 func TestColoringBailDeterministic(t *testing.T) {
 	// Whether a function bails is a pure function of IR and options: two
 	// identical runs agree on the flag and on the rewritten program.
-	for _, timeout := range []time.Duration{time.Nanosecond, 50 * time.Microsecond, 0} {
+	for _, budget := range []int64{0, 500, coloringBudget} {
 		f1 := widePressure(64)
 		f2 := widePressure(64)
-		r1, _ := runColoring(t, f1, bankfile.RV2(2), timeout)
-		r2, _ := runColoring(t, f2, bankfile.RV2(2), timeout)
+		r1, _ := colorWithBudget(t, f1, bankfile.RV2(2), budget)
+		r2, _ := colorWithBudget(t, f2, bankfile.RV2(2), budget)
 		if r1.ColoringBailed != r2.ColoringBailed {
-			t.Errorf("timeout=%v: bail flag nondeterministic", timeout)
+			t.Errorf("budget=%d: bail flag nondeterministic", budget)
 		}
 		if ir.Print(f1) != ir.Print(f2) {
-			t.Errorf("timeout=%v: coloring not deterministic", timeout)
+			t.Errorf("budget=%d: coloring not deterministic", budget)
 		}
 	}
 }
@@ -125,7 +170,7 @@ func TestColoringBankAware(t *testing.T) {
 	bd.Ret()
 	f := bd.Func()
 	cfgFile := bankfile.RV2(2)
-	_, af := runColoring(t, f, cfgFile, 0)
+	_, af := colorWithBudget(t, f, cfgFile, coloringBudget)
 	r := conflict.Analyze(af, cfgFile)
 	if r.StaticConflicts != 0 {
 		t.Errorf("bank-aware coloring left %d conflicts on a 2-read pair", r.StaticConflicts)
@@ -135,8 +180,8 @@ func TestColoringBankAware(t *testing.T) {
 func TestColoringDeterministicVsRerun(t *testing.T) {
 	f1 := widePressure(100)
 	f2 := widePressure(100)
-	runColoring(t, f1, bankfile.RV2(2), 0)
-	runColoring(t, f2, bankfile.RV2(2), 0)
+	colorWithBudget(t, f1, bankfile.RV2(2), coloringBudget)
+	colorWithBudget(t, f2, bankfile.RV2(2), coloringBudget)
 	if ir.Print(f1) != ir.Print(f2) {
 		t.Error("coloring not deterministic")
 	}

@@ -21,7 +21,12 @@ var (
 )
 
 func gprOrder() []int {
-	gprOrderOnce.Do(func() { gprOrderRegs = sortedRegs(numGPRFile) })
+	gprOrderOnce.Do(func() {
+		gprOrderRegs = make([]int, numGPRFile)
+		for i := range gprOrderRegs {
+			gprOrderRegs[i] = i
+		}
+	})
 	return gprOrderRegs
 }
 

@@ -25,9 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"time"
 
 	"prescount/internal/analysis"
 	"prescount/internal/bankfile"
@@ -113,16 +111,6 @@ type Options struct {
 	// can audit the allocation against independently recomputed liveness.
 	// Off by default: recording allocates on the hot path.
 	Record bool
-	// BinpackMaxRescues bounds how many second chances one virtual register
-	// may receive from the binpacking allocator (MethodBinpack only; 0
-	// selects the default).
-	BinpackMaxRescues int
-	// ColoringTimeout is the coloring allocator's work budget expressed as
-	// a duration (MethodColoring only; 0 selects the default). The budget
-	// is converted to a deterministic unit count, so whether a given
-	// function bails to linear scan is identical run to run — only the
-	// context deadline, which aborts the compile outright, reads the clock.
-	ColoringTimeout time.Duration
 }
 
 // Assignment records one virtual register's final physical placement,
@@ -896,22 +884,4 @@ func record(res *Result, f *ir.Func, lv *liveness.Info,
 			res.EntryLiveIn = append(res.EntryLiveIn, r)
 		}
 	}
-}
-
-// mapLookup adapts a register map to record's lookup shape.
-func mapLookup(m map[ir.Reg]int) func(ir.Reg) (int, bool) {
-	return func(r ir.Reg) (int, bool) {
-		v, ok := m[r]
-		return v, ok
-	}
-}
-
-// sortedRegs returns 0..n-1; kept as a helper for candidate building.
-func sortedRegs(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	sort.Ints(out)
-	return out
 }

@@ -61,9 +61,25 @@ func TestColoringTranslationValidates(t *testing.T) {
 		for _, n := range []int{8, 40, 64, 100} {
 			orig := mk(n)
 			work := orig.Clone()
-			_, af := runColoring(t, work, file, 0)
+			_, af := colorWithBudget(t, work, file, coloringBudget)
 			if err := tv.Check(orig, af, file.NumRegs); err != nil {
 				t.Errorf("%s n=%d: %v", orig.Name, n, err)
+			}
+		}
+	}
+}
+
+func TestLinearScanTranslationValidates(t *testing.T) {
+	file := bankfile.RV2(2)
+	for _, m := range []Method{MethodNon, MethodBPC} {
+		for _, mk := range []func(int) *ir.Func{widePressure, loopPressure} {
+			for _, n := range []int{8, 40, 64, 100} {
+				orig := mk(n)
+				work := orig.Clone()
+				_, af := runLinear(t, work, file, m)
+				if err := tv.Check(orig, af, file.NumRegs); err != nil {
+					t.Errorf("%v %s n=%d: %v", m, orig.Name, n, err)
+				}
 			}
 		}
 	}

@@ -27,31 +27,6 @@ func TestCompileNewMethods(t *testing.T) {
 	}
 }
 
-func TestCompileColoringTimeoutField(t *testing.T) {
-	// A generous deterministic work budget compiles fine; the field also
-	// parses from the raw-MIR query envelope.
-	_, ts := newTestServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/compile",
-		CompileRequest{MIR: kernelMIR, Method: "coloring", ColoringTimeoutMS: 5000})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, body)
-	}
-	qresp, err := http.Post(ts.URL+"/v1/compile?method=coloring&coloring_timeout_ms=5000",
-		"text/plain", strings.NewReader(kernelMIR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qresp.Body.Close()
-	if qresp.StatusCode != http.StatusOK {
-		t.Fatalf("query envelope status %d", qresp.StatusCode)
-	}
-	resp, body = postJSON(t, ts.URL+"/v1/compile",
-		CompileRequest{MIR: kernelMIR, Method: "coloring", ColoringTimeoutMS: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative coloring_timeout_ms: status %d, body %s", resp.StatusCode, body)
-	}
-}
-
 // TestColoringHonorsRequestDeadline asserts the daemon answers 504 — never
 // hangs — when the request deadline is already gone before the coloring
 // compile starts: the context threads through core into RunColoring's

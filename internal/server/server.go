@@ -227,13 +227,6 @@ type CompileRequest struct {
 	THRES float64 `json:"thres,omitempty"`
 	// LinearScan swaps in the linear-scan allocator.
 	LinearScan bool `json:"linear_scan,omitempty"`
-	// ColoringTimeoutMS bounds the coloring allocator's work budget (method
-	// coloring, or the coloring candidate of a portfolio race); 0 keeps the
-	// allocator default. The budget is deterministic — the same source bails
-	// at the same point regardless of machine load — while the request
-	// deadline itself still cancels coloring at phase boundaries, so a
-	// coloring request can 504 but never hang.
-	ColoringTimeoutMS int64 `json:"coloring_timeout_ms,omitempty"`
 	// Verify runs the phase-boundary verifier between pipeline stages; a
 	// rule violation fails the compile with a diagnostic naming the rule.
 	// Verified compiles bypass the shared compile cache.
@@ -553,19 +546,18 @@ func bodyError(err error, maxBody int64, prefix string) (string, error) {
 // request field it sets.
 func queryFields(req *CompileRequest) map[string]any {
 	return map[string]any{
-		"regs":                &req.Regs,
-		"banks":               &req.Banks,
-		"subgroups":           &req.Subgroups,
-		"method":              &req.Method,
-		"thres":               &req.THRES,
-		"linear_scan":         &req.LinearScan,
-		"coloring_timeout_ms": &req.ColoringTimeoutMS,
-		"verify":              &req.Verify,
-		"validate":            &req.Validate,
-		"simulate":            &req.Simulate,
-		"vliw":                &req.VLIW,
-		"emit_mir":            &req.EmitMIR,
-		"timeout_ms":          &req.TimeoutMS,
+		"regs":        &req.Regs,
+		"banks":       &req.Banks,
+		"subgroups":   &req.Subgroups,
+		"method":      &req.Method,
+		"thres":       &req.THRES,
+		"linear_scan": &req.LinearScan,
+		"verify":      &req.Verify,
+		"validate":    &req.Validate,
+		"simulate":    &req.Simulate,
+		"vliw":        &req.VLIW,
+		"emit_mir":    &req.EmitMIR,
+		"timeout_ms":  &req.TimeoutMS,
 	}
 }
 
@@ -647,9 +639,6 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, error) {
 			return core.Options{}, err
 		}
 	}
-	if req.ColoringTimeoutMS < 0 {
-		return core.Options{}, fmt.Errorf("negative coloring_timeout_ms %d", req.ColoringTimeoutMS)
-	}
 	regs, banks, subgroups := req.Regs, req.Banks, req.Subgroups
 	if regs == 0 {
 		regs = 32
@@ -668,15 +657,14 @@ func (s *Server) compileOptions(req *CompileRequest) (core.Options, error) {
 		return core.Options{}, fmt.Errorf("register file: %w", err)
 	}
 	return core.Options{
-		File:            file,
-		Method:          method,
-		Subgroups:       subgroups > 1,
-		THRES:           req.THRES,
-		LinearScan:      req.LinearScan,
-		ColoringTimeout: time.Duration(req.ColoringTimeoutMS) * time.Millisecond,
-		VerifyEach:      req.Verify,
-		Validate:        req.Validate,
-		Cache:           s.cache,
+		File:       file,
+		Method:     method,
+		Subgroups:  subgroups > 1,
+		THRES:      req.THRES,
+		LinearScan: req.LinearScan,
+		VerifyEach: req.Verify,
+		Validate:   req.Validate,
+		Cache:      s.cache,
 	}, nil
 }
 

@@ -649,6 +649,9 @@ func TestStrictEnvelopes(t *testing.T) {
 		{name: "prior_token field", body: `{"mir":` + string(mir) + `,"prior_token":"m1-0"}`, status: 400, names: "prior_token"},
 		{name: "prior_token query", query: "?prior_token=m1-0", body: `{"mir":` + string(mir) + `}`, status: 400, names: "prior_token"},
 		{name: "prior_token raw query", query: "?prior_token=m1-0", raw: true, status: 400, names: "prior_token"},
+		{name: "coloring_timeout_ms field", body: `{"mir":` + string(mir) + `,"method":"coloring","coloring_timeout_ms":5000}`, status: 400, names: "coloring_timeout_ms"},
+		{name: "coloring_timeout_ms query", query: "?coloring_timeout_ms=5000", body: `{"mir":` + string(mir) + `,"method":"coloring"}`, status: 400, names: "coloring_timeout_ms"},
+		{name: "coloring_timeout_ms raw query", query: "?method=coloring&coloring_timeout_ms=5000", raw: true, status: 400, names: "coloring_timeout_ms"},
 		{name: "method auto", body: `{"mir":` + string(mir) + `,"method":"auto"}`, status: 400, names: `"auto"`},
 		{name: "method auto raw query", query: "?method=auto", raw: true, status: 400, names: `"auto"`},
 		{name: "misspelt bank", body: `{"mir":` + string(mir) + `,"bank":4}`, status: 400, names: `"bank"`},
