@@ -192,7 +192,7 @@ func (bp *binpack) pack(c ir.Class) error {
 			for _, key := range victimBuf {
 				owner := bp.owner.get(key)
 				piece := bp.findPiece(owner, key)
-				if piece == nil || piece.iv.Start() >= it.start || bp.lv.Intervals[owner.VirtIndex()].Weight >= w {
+				if piece.iv.Start() >= it.start || bp.lv.Intervals[owner.VirtIndex()].Weight >= w {
 					ok = false
 					break
 				}

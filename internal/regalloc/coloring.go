@@ -4,21 +4,17 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"prescount/internal/ir"
 )
 
-// coloringUnit is the nominal cost of one unit of coloring work, and
-// coloringBudget the units one run may spend: 250 ms' worth. The allocator
-// counts units instead of reading the clock, so whether a given function
-// bails to linear scan is a pure function of its IR and options, identical
-// run to run and across pool sizes. The budget is generous: it exists to
-// bound the worst case, not to trim the common one.
-const (
-	coloringUnit   = 100 * time.Nanosecond
-	coloringBudget = int64(250 * time.Millisecond / coloringUnit)
-)
+// coloringBudget is the work units one coloring run may spend: 250 ms'
+// worth at a nominal 100 ns a unit. The allocator counts units instead of
+// reading the clock, so whether a given function bails to linear scan is a
+// pure function of its IR and options, identical run to run and across
+// pool sizes. The budget is generous: it exists to bound the worst case,
+// not to trim the common one.
+const coloringBudget int64 = 2_500_000
 
 // coloringCtxStride is how many budget units elapse between context checks.
 const coloringCtxStride = 4096
