@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -23,6 +24,49 @@ func TestCompileNewMethods(t *testing.T) {
 		}
 		if cr.MIR == "" || cr.Report.Instrs <= 0 {
 			t.Errorf("%s: empty result: %s", method, body)
+		}
+	}
+}
+
+// TestCompileColoringTimeoutField pins the retired coloring budget field:
+// a coloring compile finishes the kernel at the built-in budget without
+// bailing, and coloring_timeout_ms, which used to set that budget, answers
+// 400 bad_request naming itself as a JSON field and on the raw-MIR query
+// envelope, whatever its value. TestStrictEnvelopes covers the field on
+// every compile endpoint.
+func TestCompileColoringTimeoutField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/compile", CompileRequest{MIR: kernelMIR, Method: "coloring"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	var cr CompileResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Alloc.ColoringBailed {
+		t.Errorf("coloring bailed on the kernel at the built-in budget: %s", body)
+	}
+	mir, _ := json.Marshal(kernelMIR)
+	for _, ms := range []string{"5000", "-1"} {
+		for _, post := range []struct{ url, contentType, body string }{
+			{"/v1/compile", "application/json", `{"mir":` + string(mir) + `,"method":"coloring","coloring_timeout_ms":` + ms + `}`},
+			{"/v1/compile?method=coloring&coloring_timeout_ms=" + ms, "text/plain", kernelMIR},
+		} {
+			resp, err := http.Post(ts.URL+post.url, post.contentType, strings.NewReader(post.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			out.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s (%s, %s): status %d, want 400: %s", post.url, post.contentType, ms, resp.StatusCode, out.Bytes())
+				continue
+			}
+			if e := decodeError(t, out.Bytes()); e.Code != CodeBadRequest || !strings.Contains(e.Error, "coloring_timeout_ms") {
+				t.Errorf("%s (%s, %s): error %+v, want %s naming coloring_timeout_ms", post.url, post.contentType, ms, e, CodeBadRequest)
+			}
 		}
 	}
 }
