@@ -1,7 +1,15 @@
 // Command prescountrouter fronts a fleet of prescountd daemons with a
-// consistent-hash router: each compile's content fingerprint picks its
+// consistent-hash router: a hash of each compile's MIR text picks its
 // backend, so every resubmission of a kernel lands on the node whose
-// memory and disk caches already hold its result.
+// memory and disk caches already hold its result. The hash skips function
+// names, the module header line, whitespace, blank lines and "#" comment
+// lines: renamed, re-indented and re-commented copies route together, as
+// do a kernel's JSON and raw envelopes and its batch entries. Other
+// spellings the parser reads alike may route apart, so duplicates inside
+// a batch may dedup on different nodes and count apart in the summed
+// deduped. This hash replaced one over parsed fingerprints; the switch
+// moved every kernel to a new node once, where it compiles once more
+// (disk records stay on the old node).
 //
 // Usage:
 //
@@ -21,9 +29,10 @@
 //
 // Retry policy: connection failures and 429s hop to the ring successor
 // with jittered backoff; compile errors and deadlines pass through
-// untouched (they are the backend's authoritative answer). With every
-// backend saturated the final 429 passes through; with none healthy the
-// router answers 503 with Retry-After.
+// untouched (they are the backend's authoritative answer) and stream back
+// as the backend sends them. With every backend saturated the final 429
+// passes through; with none healthy the router answers 503 with
+// Retry-After.
 package main
 
 import (

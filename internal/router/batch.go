@@ -2,7 +2,6 @@ package router
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,20 +19,8 @@ import (
 // An entry whose last round was answered 429 fails as saturated, one that
 // found no backend as no_backend.
 func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		failJSON(w, http.StatusMethodNotAllowed, server.CodeBadRequest, "POST only")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			failJSON(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", r.cfg.MaxBody))
-			return
-		}
-		failJSON(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+	body, ok := r.readBody(w, req)
+	if !ok {
 		return
 	}
 	var batch routedBatchRequest
@@ -72,7 +59,7 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 		var unroutable []int
 		for _, i := range pending {
 			saturated[i] = false
-			cands := r.candidates(routingKey(batch.Entries[i].MIR))
+			cands := r.candidates(batch.Entries[i].key)
 			if len(cands) == 0 {
 				unroutable = append(unroutable, i)
 				continue
@@ -95,7 +82,12 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 					return // per-entry no_backend error after the rounds
 				}
 				b.requests.Add(1)
-				status, _, respBody, err := r.send(ctx, b.url+"/v1/compile/batch", "application/json", payload)
+				resp, err := r.send(ctx, b.url+"/v1/compile/batch", "application/json", payload)
+				var respBody []byte
+				if err == nil {
+					respBody, err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+				}
 				if err != nil {
 					b.failures.Add(1)
 					b.state.Store(stateDown)
@@ -105,6 +97,7 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 					r.retryHops.Add(1)
 					return
 				}
+				status := resp.StatusCode
 				if status == http.StatusTooManyRequests {
 					for _, i := range idxs {
 						saturated[i] = true
@@ -162,17 +155,17 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 }
 
 // routedBatchRequest mirrors server.BatchRequest but keeps each entry as
-// raw JSON except the MIR field the router needs for hashing — unknown
-// future fields pass through to the backend untouched.
+// raw JSON beside the routing key of its MIR; unknown future fields pass
+// through to the backend untouched.
 type routedBatchRequest struct {
 	Entries   []routedEntry `json:"entries"`
 	TimeoutMS int64         `json:"timeout_ms,omitempty"`
 }
 
-// routedEntry captures the MIR for routing and the full raw entry for
-// forwarding.
+// routedEntry captures the routing key of an entry's MIR, the same key a
+// compile of that MIR alone gets, and the full raw entry for forwarding.
 type routedEntry struct {
-	MIR string
+	key uint64
 	raw json.RawMessage
 }
 
@@ -183,7 +176,7 @@ func (e *routedEntry) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &peek); err != nil {
 		return err
 	}
-	e.MIR = peek.MIR
+	e.key = routingKey([]byte(peek.MIR))
 	e.raw = append(json.RawMessage(nil), data...)
 	return nil
 }

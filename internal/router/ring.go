@@ -10,7 +10,7 @@ import (
 // owning the first point clockwise of the key's hash. Adding or removing
 // one backend of n remaps only ~1/n of the key space — the property that
 // keeps a fleet's per-node disk caches warm through membership changes
-// (every fingerprint keeps landing on the node whose disk already holds
+// (every kernel keeps landing on the node whose disk already holds
 // its result).
 type ring struct {
 	points []ringPoint

@@ -1,16 +1,26 @@
 // Package router is the fleet front of prescountd: a thin HTTP proxy that
-// consistent-hashes each compile's content fingerprint across N backend
-// daemons. Fingerprint affinity is what makes a fleet of per-node caches
-// behave like one big cache — every resubmission of a kernel lands on the
-// node whose memory and disk already hold its result, and batch entries
-// regroup per backend so intra-batch dedup happens exactly once per unique
-// kernel fleet-wide.
+// consistent-hashes each compile's MIR text across N backend daemons.
+// Content affinity makes a fleet of per-node caches behave like one big
+// cache: every resubmission of a kernel lands on the node whose memory and
+// disk already hold its result, and batch entries regroup per backend so
+// that duplicates of a kernel meet in one node's dedup.
 //
-// The router holds no compile state of its own: compile request bodies and
-// query strings pass through verbatim, as do batch entries inside their
-// per-backend sub-batches. A module compile hashes the fingerprints of all
-// its functions, so a resubmitted module reaches the node whose cache
-// already holds every one of them.
+// The key (routingKey) is one pass over the MIR bytes that skips function
+// names, the module header line, whitespace, blank lines and "#" comment
+// lines, so renamed, re-indented and re-commented copies of a kernel route
+// together, as do its JSON and raw envelopes and its batch entries.
+// Options are not in the key: every bank count of a kernel reaches the
+// node that holds its prefix layer. Other spellings the parser reads alike
+// (float formats, "; succs:" against inline successors, function order)
+// may route apart. That costs cache hits, and in a batch it can send
+// duplicates to different nodes, whose deduped counts the router sums.
+// This key replaced one built from parsed fingerprints, which moved every
+// kernel once: memory caches re-warm, and since a disk record stays on its
+// old node, each kernel compiles once on its new one.
+//
+// The router parses no MIR and holds no compile state: request bodies,
+// query strings and batch entries pass through verbatim, and a compile's
+// answer streams back as the backend sends it.
 package router
 
 import (
@@ -19,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -28,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prescount/internal/ir"
 	"prescount/internal/server"
 )
 
@@ -56,6 +64,12 @@ type Config struct {
 	Client *http.Client
 }
 
+// idleConnsPerBackend is the default proxy client's keep-alive pool per
+// backend. It covers 64 concurrent clients, the CI fleet smoke's load, on
+// one node, so steady traffic reuses connections; net/http's default
+// transport keeps 2 and dials again for every request beyond them.
+const idleConnsPerBackend = 64
+
 func (cfg Config) normalize() Config {
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = 128
@@ -79,7 +93,10 @@ func (cfg Config) normalize() Config {
 		cfg.MaxBody = 8 << 20
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns = 0 // no fleet-wide cap; the per-backend one holds
+		t.MaxIdleConnsPerHost = idleConnsPerBackend
+		cfg.Client = &http.Client{Transport: t}
 	}
 	return cfg
 }
@@ -227,40 +244,6 @@ func (r *Router) probe(url string) int32 {
 	}
 }
 
-// routingKey hashes the content of one compile request: the name-blind
-// fingerprints of its functions when the MIR parses (so renamed copies of
-// a kernel still share a node's caches), the raw source otherwise (the
-// chosen backend will produce the authoritative parse error — and produce
-// it deterministically on the same node every time).
-func routingKey(mir string) uint64 {
-	h := fnv.New64a()
-	if mod, err := ir.ParseModule(mir); err == nil && len(mod.Funcs) > 0 {
-		for _, f := range mod.SortedFuncs() {
-			fp := f.Fingerprint()
-			h.Write(fp[:])
-		}
-		return h.Sum64()
-	}
-	if f, err := ir.Parse(mir); err == nil {
-		fp := f.Fingerprint()
-		h.Write(fp[:])
-		return h.Sum64()
-	}
-	h.Write([]byte(mir))
-	return h.Sum64()
-}
-
-// extractMIR pulls the MIR source out of either request envelope.
-func extractMIR(body []byte, contentType string) string {
-	if strings.HasPrefix(contentType, "application/json") {
-		var req server.CompileRequest
-		if err := json.Unmarshal(body, &req); err == nil {
-			return req.MIR
-		}
-	}
-	return string(body)
-}
-
 // candidates returns up to cfg.Retries usable backends for key, healthy
 // ones in ring order. Draining and down nodes are skipped; if nothing is
 // healthy the caller answers 503.
@@ -289,59 +272,104 @@ func (r *Router) jitteredBackoff(ctx context.Context, hop int) {
 	}
 }
 
-// proxyCompile forwards one single/module compile along the ring.
-func (r *Router) proxyCompile(w http.ResponseWriter, req *http.Request, path string) {
+// readBody checks the method and reads the request body under MaxBody,
+// into one buffer of Content-Length bytes when the client sent one. On a
+// failure it answers the client itself and returns ok false.
+func (r *Router) readBody(w http.ResponseWriter, req *http.Request) (body []byte, ok bool) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		failJSON(w, http.StatusMethodNotAllowed, server.CodeBadRequest, "POST only")
-		return
+		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBody))
+	src := http.MaxBytesReader(w, req.Body, r.cfg.MaxBody)
+	var err error
+	if n := req.ContentLength; n > 0 && n <= r.cfg.MaxBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(src, body)
+	} else {
+		body, err = io.ReadAll(src)
+	}
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			failJSON(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", r.cfg.MaxBody))
-			return
+			return nil, false
 		}
 		failJSON(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+// proxyCompile forwards one single/module compile along the ring and
+// streams the answer back.
+func (r *Router) proxyCompile(w http.ResponseWriter, req *http.Request, path string) {
+	body, ok := r.readBody(w, req)
+	if !ok {
 		return
 	}
 	contentType := req.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/octet-stream"
 	}
-	key := routingKey(extractMIR(body, contentType))
 	// Raw-MIR requests carry their options in the query string; preserve it.
 	suffix := path
 	if q := req.URL.RawQuery; q != "" {
 		suffix += "?" + q
 	}
 	r.proxied.Add(1)
-	status, hdr, respBody, ok := r.forward(req.Context(), key, suffix, contentType, body)
-	if !ok {
+	resp, b := r.forward(req.Context(), bodyKey(body, contentType), suffix, contentType, body)
+	if resp == nil {
 		r.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		failJSON(w, http.StatusServiceUnavailable, "no_backend", "no healthy backend")
 		return
 	}
-	copyHeader(w, hdr)
-	w.WriteHeader(status)
-	w.Write(respBody)
+	defer resp.Body.Close()
+	copyHeader(w, resp.Header)
+	w.WriteHeader(resp.StatusCode)
+	src := &backendReader{Reader: resp.Body}
+	if _, err := io.Copy(w, src); err != nil {
+		// The status is out, so only a dropped connection tells the client
+		// that its answer is incomplete. A backend that broke off
+		// mid-answer is demoted like one that refused the connection; a
+		// client that hung up, failing a write or cancelling the request,
+		// says nothing about the backend.
+		if src.err != nil && req.Context().Err() == nil {
+			b.failures.Add(1)
+			b.state.Store(stateDown)
+		}
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// backendReader records the error of the backend side of a streamed
+// answer, so a failed copy can tell a broken backend from a gone client.
+type backendReader struct {
+	io.Reader
+	err error
+}
+
+func (br *backendReader) Read(p []byte) (int, error) {
+	n, err := br.Reader.Read(p)
+	if err != nil && err != io.EOF {
+		br.err = err
+	}
+	return n, err
 }
 
 // forward walks key's ring successors until a backend produces a
-// non-retryable answer. Retryable outcomes are connection failures (the
-// node died mid-request) and 429 (saturated); everything else — including
-// compile errors and deadlines — is the authoritative answer. The final
-// attempt's 429 passes through so saturation stays a 4xx end to end; ok is
-// false only when no healthy backend was available at all.
-func (r *Router) forward(ctx context.Context, key uint64, path, contentType string, body []byte) (int, http.Header, []byte, bool) {
-	cands := r.candidates(key)
-	var lastStatus int
-	var lastHdr http.Header
-	var lastBody []byte
-	for hop, b := range cands {
+// non-retryable answer, and returns that answer with its body unread and
+// the backend that gave it. Retryable outcomes are connection failures
+// (the node died mid-request) and 429 (saturated); everything else,
+// including compile errors and deadlines, is the authoritative answer. The
+// final attempt's 429 passes through, read into memory, so saturation
+// stays a 4xx end to end; the response is nil only when no healthy backend
+// was available at all.
+func (r *Router) forward(ctx context.Context, key uint64, path, contentType string, body []byte) (*http.Response, *backend) {
+	var last *http.Response
+	for hop, b := range r.candidates(key) {
 		if hop > 0 {
 			b.retries.Add(1)
 			r.retryHops.Add(1)
@@ -351,7 +379,20 @@ func (r *Router) forward(ctx context.Context, key uint64, path, contentType stri
 			}
 		}
 		b.requests.Add(1)
-		status, hdr, respBody, err := r.send(ctx, b.url+path, contentType, body)
+		resp, err := r.send(ctx, b.url+path, contentType, body)
+		if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+			// Read the 429 now, so its connection goes back to the pool
+			// while the walk goes on.
+			var saved []byte
+			saved, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			resp.Body = io.NopCloser(bytes.NewReader(saved))
+			if err == nil {
+				b.failures.Add(1)
+				last = resp
+				continue
+			}
+		}
 		if err != nil {
 			// Connection failure: demote now rather than waiting for the
 			// next probe, and hop to the successor.
@@ -359,35 +400,19 @@ func (r *Router) forward(ctx context.Context, key uint64, path, contentType stri
 			b.state.Store(stateDown)
 			continue
 		}
-		if status == http.StatusTooManyRequests {
-			b.failures.Add(1)
-			lastStatus, lastHdr, lastBody = status, hdr, respBody
-			continue
-		}
-		return status, hdr, respBody, true
+		return resp, b
 	}
-	if lastStatus != 0 {
-		return lastStatus, lastHdr, lastBody, true
-	}
-	return 0, nil, nil, false
+	return last, nil
 }
 
-func (r *Router) send(ctx context.Context, url, contentType string, body []byte) (int, http.Header, []byte, error) {
+// send posts body to url and returns the response with its body unread.
+func (r *Router) send(ctx context.Context, url, contentType string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, respBody, nil
+	return r.cfg.Client.Do(req)
 }
 
 func copyHeader(w http.ResponseWriter, hdr http.Header) {
