@@ -13,8 +13,13 @@
 //	               function, keep the cheapest result); coloring bails to
 //	               linear scan past a fixed deterministic work budget
 //	-dump          print the allocated MIR
+//	-dot G         print a Graphviz document of one pre-allocation
+//	               analysis per function instead of compiling it:
+//	               rig | rcg | sdg
 //	-run           simulate the allocated code and report dynamic metrics
 //	-vliw          use the dual-issue VLIW cycle model when simulating
+//	-o FILE        write the allocated MIR of every input function to
+//	               FILE as one module
 //	-cache M       on | off: share a compile cache across the input
 //	               functions, so repeated kernel bodies (common in
 //	               machine-generated MIR) compile once (default on)
