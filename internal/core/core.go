@@ -211,25 +211,12 @@ func CompileContext(ctx context.Context, f *ir.Func, opts Options) (*Result, err
 		return compileCached(ctx, f, opts)
 	}
 
-	work := f.Clone()
-	// One analysis cache serves every phase: CFG, liveness and the RCG are
-	// computed at most once per IR mutation generation, and phases that
-	// rewrite instructions without touching control flow retain the CFG —
-	// a full compile runs cfg.Compute exactly once. The scratch arena backs
-	// the liveness bitsets for exactly this compile; Put resets it and
-	// recycles the slab for the worker's next compile.
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	ac := analysis.NewWithArena(work, ar)
-	res := &Result{}
-	if err := runPrefix(ctx, work, ac, opts, res); err != nil {
-		return nil, err
-	}
-	if err := runSuffix(ctx, work, ac, opts, res); err != nil {
+	res, err := runStage(ctx, opts, &Result{Func: f}, f.Name, prefixLayer, postLayer, false)
+	if err != nil {
 		return nil, err
 	}
 	if opts.VerifySemantics {
-		if err := verifySemantics(f, work, opts); err != nil {
+		if err := verifySemantics(f, res.Func, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -269,242 +256,248 @@ func checkInputBounds(f *ir.Func, opts Options) error {
 	return nil
 }
 
-// phaseCheck is the per-phase cancellation point: it returns a wrapped
-// ctx.Err() naming the function and the phase about to run.
-func phaseCheck(ctx context.Context, f *ir.Func, phase string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s: cancelled before %s: %w", f.Name, phase, err)
-	}
-	return nil
+// layer is the compile-cache layer a phase's output is stored under (see
+// compileCached). The uncached path runs all three in one stage.
+type layer uint8
+
+const (
+	// prefixLayer is the method-independent prefix, keyed by PrefixDigest.
+	prefixLayer layer = iota
+	// allocLayer is bank assignment and allocation, keyed by AllocDigest
+	// when the allocation is bank-oblivious (allocCacheable).
+	allocLayer
+	// postLayer is the bank-aware tail, stored only in the full layer.
+	postLayer
+)
+
+// phase is one Figure-4 phase as runStage runs it. when (nil: always)
+// says whether the options select the phase; keepCFG says the phase
+// rewrites instructions without touching control flow, so the analysis
+// cache keeps its CFG. Under VerifyEach, pre (if set) runs before the phase
+// and post after it; a failing post is reported as "verify after" the
+// phase, a failing pre under the name its error carries.
+type phase struct {
+	name      string
+	layer     layer
+	when      func(Options) bool
+	run       func(*stage) error
+	keepCFG   bool
+	pre, post func(*stage) error
 }
 
-// verifyErr wraps a phase-boundary verifier failure with the function and
-// phase it fired after; the underlying *ir.Diag (rule ID, location) stays
-// recoverable through errors.As.
-func verifyErr(f *ir.Func, phase string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("core: %s: verify after %s: %w", f.Name, phase, err)
-}
-
-// runPrefix executes the method-independent prefix of the Figure-4 pipeline
-// in place on work: register coalescing, SDG-based subgroup splitting (DSA
-// only; positioned after coalescing so splitting copies are not
-// re-coalesced) and pre-allocation scheduling. Only the options covered by
-// PrefixDigest influence it.
-func runPrefix(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	// Under VerifyEach, every phase is bracketed by a snapshot and a delta
-	// check: structural well-formedness, trip-count preservation and
-	// no-new-undefined-reads after each phase, plus the dependence-order
-	// audit for the scheduler. snap stays nil when disabled — the verifier
-	// must cost nothing on the production path.
-	var snap *verify.Snapshot
-	// Phase 1: register coalescing.
-	if !opts.DisableCoalesce {
-		if err := phaseCheck(ctx, work, "coalesce"); err != nil {
-			return err
-		}
-		if opts.VerifyEach {
-			snap = verify.Capture(work)
-		}
-		res.Coalesce = coalesce.RunCached(work, ac)
-		if opts.VerifyEach {
-			if err := verifyErr(work, "coalesce", verify.WellFormed(work)); err != nil {
+// phases is the paper's Figure 4 in pipeline order: register coalescing,
+// SDG-based subgroup splitting (DSA only; after coalescing so splitting
+// copies are not re-coalesced), pre-allocation scheduling, RCG-based bank
+// assignment (bpc only), enhanced register allocation, renumbering (brc
+// only) and the per-bank conflict analysis.
+//
+// Under VerifyEach every prefix phase is bracketed by a snapshot and a
+// delta check (structure, trip counts, no new undefined reads), and every
+// later phase by the audit of what it produced. The verifier state stays
+// nil when VerifyEach is off: it must cost nothing on the production path.
+var phases = [...]phase{
+	{
+		name: "coalesce", layer: prefixLayer,
+		when: func(o Options) bool { return !o.DisableCoalesce },
+		run:  func(s *stage) error { s.res.Coalesce = coalesce.RunCached(s.f, s.ac); return nil },
+		pre:  capture,
+		post: func(s *stage) error { return s.delta("coalesce") },
+	},
+	{
+		name: "sdg-split", layer: prefixLayer, keepCFG: true, // splitting only inserts copies and renames ranges
+		when: func(o Options) bool { return o.Subgroups },
+		run: func(s *stage) error {
+			s.res.SDG = sdg.Split(s.f, sdg.Options{MaxGroup: s.opts.SDGMaxGroup})
+			return nil
+		},
+		pre:  capture,
+		post: func(s *stage) error { return s.delta("sdg-split") },
+	},
+	{
+		name: "sched", layer: prefixLayer, keepCFG: true, // scheduling reorders within blocks only
+		when: func(o Options) bool { return !o.DisableSched },
+		run:  func(s *stage) error { s.res.Sched = sched.Run(s.f); return nil },
+		pre:  capture,
+		post: func(s *stage) error {
+			if err := s.delta("sched"); err != nil {
 				return err
 			}
-			if err := verifyErr(work, "coalesce", snap.CheckDelta(work, "coalesce")); err != nil {
-				return err
-			}
-		}
-	}
-	// Phase 2 (DSA only): SDG-based subgroup splitting.
-	if opts.Subgroups {
-		if err := phaseCheck(ctx, work, "sdg-split"); err != nil {
-			return err
-		}
-		if opts.VerifyEach {
-			snap = verify.Capture(work)
-		}
-		res.SDG = sdg.Split(work, sdg.Options{MaxGroup: opts.SDGMaxGroup})
-		ac.RetainCFG() // splitting only inserts copies and renames ranges
-		if opts.VerifyEach {
-			if err := verifyErr(work, "sdg-split", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "sdg-split", snap.CheckDelta(work, "sdg-split")); err != nil {
-				return err
-			}
-		}
-	}
-	// Phase 3: pre-allocation scheduling.
-	if !opts.DisableSched {
-		if err := phaseCheck(ctx, work, "sched"); err != nil {
-			return err
-		}
-		if opts.VerifyEach {
-			snap = verify.Capture(work)
-		}
-		res.Sched = sched.Run(work)
-		ac.RetainCFG() // scheduling reorders within blocks only
-		if opts.VerifyEach {
-			if err := verifyErr(work, "sched", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "sched", snap.CheckDelta(work, "sched")); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "sched", snap.CheckSched(work)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// runSuffix executes the bank-aware tail of the pipeline on the
-// post-scheduling function: RCG-based bank assignment (bpc), enhanced
-// register allocation, post-allocation renumbering (brc) and the conflict
-// analysis. It fills the remaining fields of res.
-func runSuffix(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	if err := runAlloc(ctx, work, ac, opts, res); err != nil {
-		return err
-	}
-	return runPost(ctx, work, ac, opts, res)
-}
-
-// runAlloc executes the allocation half of the suffix — RCG-based bank
-// assignment (bpc only) and enhanced register allocation — in place on
-// work, filling res.Alloc and res.BankAssignForced. For the bank-oblivious
-// methods (non, and brc whose allocation phase is mapped to non below) the
-// result depends only on the options covered by AllocDigest, which is what
-// lets the cache's alloc layer share it across bank counts.
-func runAlloc(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	// Phase 4 (bpc only): RCG-based bank assignment. It reuses the live
-	// range information and does not modify the IR, so the liveness pulled
-	// here stays valid for Phase 5's allocator.
-	raOpts := regalloc.Options{Cfg: opts.File, Method: opts.Method, Analyses: ac}
-	if opts.Method == MethodBPC {
-		if err := phaseCheck(ctx, work, "bank-assign"); err != nil {
-			return err
-		}
-		ares := assign.PresCount(work, ac.RCG(), ac.Liveness(), opts.File.Normalize(), assign.Options{
-			THRES:            opts.THRES,
-			DisablePressure:  opts.DisablePressure,
-			DisableFreeHints: opts.DisableFreeHints,
-		})
-		if opts.VerifyEach {
-			if err := verifyErr(work, "bank-assign", verify.CheckBankAssignment(work, ac.RCG(), ares, opts.File)); err != nil {
-				return err
-			}
-		}
-		raOpts.BankOf = ares.BankOf
-		raOpts.FreeHints = ares.FreeHints
-		res.BankAssignForced = len(ares.Forced)
-	}
-	if opts.Subgroups {
-		raOpts.SubgroupGroups = sdg.Build(work).GroupOf()
-	}
-
-	// Phase 5: enhanced register allocation. The brc baseline allocates
-	// bank-obliviously and fixes conflicts afterwards by renumbering.
-	if err := phaseCheck(ctx, work, "regalloc"); err != nil {
-		return err
-	}
-	if raOpts.Method == MethodBRC {
-		raOpts.Method = MethodNon
-	}
-	var preEntry map[ir.Reg]bool
-	if opts.VerifyEach {
+			return s.snap.CheckSched(s.f)
+		},
+	},
+	{
+		// Bank assignment reads the live ranges and leaves the IR alone, so
+		// the liveness it pulls stays valid for the allocator.
+		name: "bank-assign", layer: allocLayer,
+		when: func(o Options) bool { return o.Method == MethodBPC },
+		run: func(s *stage) error {
+			s.bank = assign.PresCount(s.f, s.ac.RCG(), s.ac.Liveness(), s.opts.File.Normalize(), assign.Options{
+				THRES:            s.opts.THRES,
+				DisablePressure:  s.opts.DisablePressure,
+				DisableFreeHints: s.opts.DisableFreeHints,
+			})
+			s.res.BankAssignForced = len(s.bank.Forced)
+			return nil
+		},
+		post: func(s *stage) error { return verify.CheckBankAssignment(s.f, s.ac.RCG(), s.bank, s.opts.File) },
+	},
+	{
+		name: "regalloc", layer: allocLayer,
 		// The allocator is the main consumer of the cached liveness: audit
 		// the cache against a from-scratch recompute before handing it over,
-		// record the allocation for the soundness checks, and capture the
-		// pre-allocation entry-live-in set so a dropped reload is
-		// distinguishable from an input the program reads undefined.
-		if err := verifyErr(work, "liveness-cache", verify.CheckLiveness(work, ac)); err != nil {
-			return err
-		}
-		raOpts.Record = true
-		preEntry = verify.EntryLive(work)
-	}
-	var alloc *regalloc.Result
-	var err error
-	switch {
-	case opts.Method == MethodBinpack:
-		alloc, err = regalloc.RunBinpack(work, raOpts)
-	case opts.Method == MethodColoring:
-		alloc, err = regalloc.RunColoring(ctx, work, raOpts)
-	case opts.LinearScan:
-		alloc, err = regalloc.RunLinearScan(work, raOpts)
-	default:
-		alloc, err = regalloc.RunContext(ctx, work, raOpts)
-	}
-	if err != nil {
-		return fmt.Errorf("core: %s: %w", work.Name, err)
-	}
-	res.Alloc = alloc
-	if opts.VerifyEach {
-		if err := verifyErr(work, "regalloc", verify.WellFormed(work)); err != nil {
-			return err
-		}
-		if err := verifyErr(work, "regalloc", verify.CheckAllocation(work, opts.File, alloc, preEntry)); err != nil {
-			return err
-		}
-	}
+		// and capture the pre-allocation entry-live-in set so a dropped
+		// reload is distinguishable from an input the program reads
+		// undefined.
+		pre: func(s *stage) error {
+			if err := verify.CheckLiveness(s.f, s.ac); err != nil {
+				return fmt.Errorf("liveness-cache: %w", err)
+			}
+			s.preEntry = verify.EntryLive(s.f)
+			return nil
+		},
+		run: func(s *stage) error {
+			// The brc baseline allocates bank-obliviously and fixes conflicts
+			// afterwards by renumbering. Under VerifyEach the allocator
+			// records its assignment for the soundness checks.
+			ra := regalloc.Options{Cfg: s.opts.File, Method: s.opts.Method, Analyses: s.ac, Record: s.opts.VerifyEach}
+			if ra.Method == MethodBRC {
+				ra.Method = MethodNon
+			}
+			if s.bank != nil {
+				ra.BankOf, ra.FreeHints = s.bank.BankOf, s.bank.FreeHints
+			}
+			if s.opts.Subgroups {
+				ra.SubgroupGroups = sdg.Build(s.f).GroupOf()
+			}
+			var err error
+			switch {
+			case s.opts.Method == MethodBinpack:
+				s.res.Alloc, err = regalloc.RunBinpack(s.f, ra)
+			case s.opts.Method == MethodColoring:
+				s.res.Alloc, err = regalloc.RunColoring(s.ctx, s.f, ra)
+			case s.opts.LinearScan:
+				s.res.Alloc, err = regalloc.RunLinearScan(s.f, ra)
+			default:
+				s.res.Alloc, err = regalloc.RunContext(s.ctx, s.f, ra)
+			}
+			if err != nil {
+				return fmt.Errorf("core: %s: %w", s.f.Name, err)
+			}
+			return nil
+		},
+		post: func(s *stage) error {
+			if err := verify.WellFormed(s.f); err != nil {
+				return err
+			}
+			return verify.CheckAllocation(s.f, s.opts.File, s.res.Alloc, s.preEntry)
+		},
+	},
+	{
+		// Global register renumbering over the physical-register conflict
+		// graph permutes registers, never blocks: the CFG retained through
+		// the allocator's rewrite serves it and the conflict analysis.
+		name: "renumber", layer: postLayer, keepCFG: true,
+		when: func(o Options) bool { return o.Method == MethodBRC },
+		run:  func(s *stage) error { s.res.Renumber = renumber.Run(s.f, s.opts.File, s.ac.CFG()); return nil },
+		// The recorded assignments no longer describe the renumbered code;
+		// re-check structure and file bounds only.
+		post: func(s *stage) error {
+			if err := verify.WellFormed(s.f); err != nil {
+				return err
+			}
+			return verify.CheckPhysBounds(s.f, s.opts.File)
+		},
+	},
+	{
+		name: "conflict-analysis", layer: postLayer,
+		run: func(s *stage) error {
+			s.res.Method = s.opts.Method
+			s.res.Report = conflict.AnalyzeWith(s.f, s.opts.File, s.ac.CFG())
+			return nil
+		},
+		post: func(s *stage) error { return verify.CheckReport(s.f, s.opts.File, s.res.Report) },
+	},
+}
+
+// stage is the state the phases of one runStage call share.
+type stage struct {
+	ctx  context.Context
+	opts Options
+	f    *ir.Func // res.Func, rewritten in place
+	ac   *analysis.Cache
+	res  *Result
+	bank *assign.Result // bank assignment's output for the allocator (bpc)
+	// Under VerifyEach: the function before the running prefix phase, and
+	// the entry live-ins before allocation.
+	snap     *verify.Snapshot
+	preEntry map[ir.Reg]bool
+}
+
+// capture is the VerifyEach pre-check of the prefix phases.
+func capture(s *stage) error {
+	s.snap = verify.Capture(s.f)
 	return nil
 }
 
-// runPost executes the post-allocation tail — renumbering (brc only) and
-// the per-bank conflict analysis — on the allocated function, filling
-// res.Renumber, res.Func and res.Report. Unlike the allocation it always
-// reads the full File (bank count, read ports), so it reruns per sweep
-// point even when the allocation itself was an alloc-layer hit.
-func runPost(ctx context.Context, work *ir.Func, ac *analysis.Cache, opts Options, res *Result) error {
-	// Post-allocation phase (brc only): global register renumbering over
-	// the physical-register conflict graph. The CFG retained through the
-	// allocator's rewrite is reused here and again by the conflict
-	// analysis below (renumbering permutes registers, never blocks).
-	if opts.Method == MethodBRC {
-		if err := phaseCheck(ctx, work, "renumber"); err != nil {
-			return err
-		}
-		res.Renumber = renumber.Run(work, opts.File, ac.CFG())
-		ac.RetainCFG()
-		if opts.VerifyEach {
-			// Renumbering permutes physical registers, so the recorded
-			// assignments no longer describe the code; re-check structure
-			// and file bounds only.
-			if err := verifyErr(work, "renumber", verify.WellFormed(work)); err != nil {
-				return err
-			}
-			if err := verifyErr(work, "renumber", verify.CheckPhysBounds(work, opts.File)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := phaseCheck(ctx, work, "conflict-analysis"); err != nil {
+// delta is the VerifyEach post-check of the prefix phases: structure, then
+// trip counts and def-before-use against the snapshot taken before phase.
+func (s *stage) delta(phase string) error {
+	if err := verify.WellFormed(s.f); err != nil {
 		return err
 	}
-	res.Func = work
-	res.Method = opts.Method
-	res.Report = conflict.AnalyzeWith(work, opts.File, ac.CFG())
-	if opts.VerifyEach {
-		if err := verifyErr(work, "conflict-analysis", verify.CheckReport(work, opts.File, res.Report)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.snap.CheckDelta(s.f, phase)
 }
 
-// prefixSnapshot is the immutable post-scheduling state stored in the
-// cache's prefix layer: the transformed function plus the prefix phases'
-// statistics. The function is never handed out directly — every consumer
-// clones it — so the snapshot stays pristine.
-type prefixSnapshot struct {
-	fn       *ir.Func
-	coalesce coalesce.Stats
-	sdg      sdg.Stats
-	sched    sched.Stats
+// runStage runs the phases of layers first through last on a copy of from
+// (the input function in a bare Result, or a Result a cache layer stored)
+// under the given function name, and returns the copy with the phases'
+// fields filled. from's function is cloned unless share is set and the
+// names agree: a stored Result serves every compile that hits its layer,
+// so only phases that just read the function may run on it in place.
+//
+// The context is checked before every phase, so a compile whose caller
+// has gone away stops within one phase. One analysis cache serves every
+// phase of the stage: CFG, liveness and the RCG are computed at most once
+// per IR mutation generation, and keepCFG phases retain the CFG, so an
+// uncached compile runs cfg.Compute exactly once. The scratch arena backs
+// the liveness bitsets for exactly this stage; nothing the stage returns
+// points into it, so Put resets it and recycles the slab for the worker's
+// next compile.
+func runStage(ctx context.Context, opts Options, from *Result, name string, first, last layer, share bool) (*Result, error) {
+	res := *from
+	if !share || res.Func.Name != name {
+		res.Func = from.Func.Clone()
+		res.Func.Name = name
+	}
+	ar := scratch.Get()
+	defer scratch.Put(ar)
+	s := &stage{ctx: ctx, opts: opts, f: res.Func, ac: analysis.NewWithArena(res.Func, ar), res: &res}
+	for i := range phases {
+		p := &phases[i]
+		if p.layer < first || p.layer > last || p.when != nil && !p.when(opts) {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: %s: cancelled before %s: %w", name, p.name, err)
+		}
+		if opts.VerifyEach && p.pre != nil {
+			if err := p.pre(s); err != nil {
+				return nil, fmt.Errorf("core: %s: verify after %w", name, err)
+			}
+		}
+		if err := p.run(s); err != nil {
+			return nil, err
+		}
+		if p.keepCFG {
+			s.ac.RetainCFG()
+		}
+		if opts.VerifyEach {
+			if err := p.post(s); err != nil {
+				return nil, fmt.Errorf("core: %s: verify after %s: %w", name, p.name, err)
+			}
+		}
+	}
+	return &res, nil
 }
 
 // funcBytes estimates the memory retained by a cached function, for the
@@ -522,18 +515,34 @@ func funcBytes(f *ir.Func) int64 {
 	return n + 8*int64(len(f.VRegs))
 }
 
-// compileCached is the memoized compile path. Layer 1 dedups identical
-// (fingerprint, full options) compiles; layer 2 memoizes the pipeline
-// prefix under (fingerprint, prefix options).
+// compileCached is the memoized compile path. The full layer dedups
+// identical (fingerprint, full options) compiles. Below it, the prefix
+// layer holds the function after the prefix phases under PrefixDigest,
+// and for a bank-oblivious allocation (allocCacheable) the alloc layer
+// holds it after allocation under AllocDigest, so one allocation serves
+// every bank count of a sweep. Each layer stores a *Result whose Func is
+// the function as the layer leaves it, shared and never mutated.
 func compileCached(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	fp := f.Fingerprint()
-	fullKey := compilecache.Key{Fingerprint: fp, Digest: opts.FullDigest()}
-	v, _, err := opts.Cache.Full(fullKey, func() (any, int64, error) {
-		res, err := compileViaPrefix(ctx, f, fp, opts)
+	res, err := cached(opts.Cache.Full, compilecache.Key{Fingerprint: fp, Digest: opts.FullDigest()}, func() (*Result, error) {
+		pre, err := cached(opts.Cache.Prefix, compilecache.Key{Fingerprint: fp, Digest: opts.PrefixDigest()}, func() (*Result, error) {
+			return runStage(ctx, opts, &Result{Func: f}, f.Name, prefixLayer, prefixLayer, false)
+		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return res, funcBytes(res.Func), nil
+		if !allocCacheable(opts) {
+			return runStage(ctx, opts, pre, f.Name, allocLayer, postLayer, false)
+		}
+		alloc, err := cached(opts.Cache.Alloc, compilecache.Key{Fingerprint: fp, Digest: opts.AllocDigest()}, func() (*Result, error) {
+			return runStage(ctx, opts, pre, f.Name, allocLayer, allocLayer, false)
+		})
+		if err != nil {
+			return nil, err
+		}
+		// brc renumbers in place; non's conflict analysis only reads the
+		// allocated function, so it shares the stored one.
+		return runStage(ctx, opts, alloc, f.Name, postLayer, postLayer, opts.Method == MethodNon)
 	})
 	if err != nil {
 		return nil, err
@@ -542,7 +551,23 @@ func compileCached(ctx context.Context, f *ir.Func, opts Options) (*Result, erro
 	// returns hit=false for entries served from the second level, and those
 	// were encoded under whichever name first produced the fingerprint.
 	// renamedResult is a no-op when the names already agree.
-	return renamedResult(v.(*Result), f.Name), nil
+	return renamedResult(res, f.Name), nil
+}
+
+// cached returns the Result that one cache layer (opts.Cache.Full, Prefix
+// or Alloc) holds under key, computing and storing it on a miss.
+func cached(layer func(compilecache.Key, func() (any, int64, error)) (any, bool, error), key compilecache.Key, compute func() (*Result, error)) (*Result, error) {
+	v, _, err := layer(key, func() (any, int64, error) {
+		res, err := compute()
+		if err != nil {
+			return nil, 0, err
+		}
+		return res, funcBytes(res.Func), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Result), nil
 }
 
 // renamedResult rematerializes a shared immutable Result under the caller's
@@ -561,103 +586,14 @@ func renamedResult(res *Result, name string) *Result {
 	return &cp
 }
 
-// compileViaPrefix compiles f reusing (or populating) the prefix layer of
-// the cache.
-func compileViaPrefix(ctx context.Context, f *ir.Func, fp ir.Fingerprint, opts Options) (*Result, error) {
-	prefixKey := compilecache.Key{Fingerprint: fp, Digest: opts.PrefixDigest()}
-	v, _, err := opts.Cache.Prefix(prefixKey, func() (any, int64, error) {
-		work := f.Clone()
-		// The snapshot retains work (fresh heap from Clone) but none of its
-		// analyses, so the arena can be released at closure end.
-		ar := scratch.Get()
-		defer scratch.Put(ar)
-		ac := analysis.NewWithArena(work, ar)
-		var pres Result
-		if err := runPrefix(ctx, work, ac, opts, &pres); err != nil {
-			return nil, 0, err
-		}
-		return &prefixSnapshot{fn: work, coalesce: pres.Coalesce, sdg: pres.SDG, sched: pres.Sched},
-			funcBytes(work), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap := v.(*prefixSnapshot)
-	if allocCacheable(opts) {
-		return compileViaAlloc(ctx, f, fp, opts, snap)
-	}
-	work := snap.fn.Clone()
-	// The snapshot may carry another symbol name; the clone is private to
-	// this compile, so renaming is safe and keeps diagnostics and the
-	// materialized Result.Func correct.
-	work.Name = f.Name
-	res := &Result{Coalesce: snap.coalesce, SDG: snap.sdg, Sched: snap.sched}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	if err := runSuffix(ctx, work, analysis.NewWithArena(work, ar), opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // allocCacheable reports whether opts selects a bank-oblivious allocation:
 // methods non and brc never consult the bank count before the
-// post-allocation phases (brc's allocation phase is mapped to non in
-// runAlloc), so their allocation can be keyed by AllocDigest and shared
-// across bank sweeps. The subgroup path feeds displacement hints into the
-// allocator, which do read bank geometry, so it stays on the plain path.
+// post-allocation phases (brc's allocation phase is non's), so their
+// allocation can be keyed by AllocDigest and shared across bank sweeps.
+// The subgroup path feeds displacement hints into the allocator, which do
+// read bank geometry, so it stays on the plain path.
 func allocCacheable(opts Options) bool {
 	return (opts.Method == MethodNon || opts.Method == MethodBRC) && !opts.Subgroups
-}
-
-// allocSnapshot is the immutable post-allocation state stored in the
-// cache's alloc layer: the allocated (pre-renumbering) function plus the
-// allocator's statistics. Like the prefix snapshot it is never mutated —
-// brc consumers clone it before renumbering, and non consumers share it
-// (conflict analysis is read-only).
-type allocSnapshot struct {
-	fn     *ir.Func
-	alloc  *regalloc.Result
-	forced int
-}
-
-// compileViaAlloc compiles f reusing (or populating) the alloc layer with
-// the bank-oblivious allocation, then runs the cheap bank-aware tail
-// (renumbering for brc, conflict analysis) for this sweep point.
-func compileViaAlloc(ctx context.Context, f *ir.Func, fp ir.Fingerprint, opts Options, psnap *prefixSnapshot) (*Result, error) {
-	allocKey := compilecache.Key{Fingerprint: fp, Digest: opts.AllocDigest()}
-	v, _, err := opts.Cache.Alloc(allocKey, func() (any, int64, error) {
-		work := psnap.fn.Clone()
-		ar := scratch.Get()
-		defer scratch.Put(ar)
-		var ares Result
-		if err := runAlloc(ctx, work, analysis.NewWithArena(work, ar), opts, &ares); err != nil {
-			return nil, 0, err
-		}
-		return &allocSnapshot{fn: work, alloc: ares.Alloc, forced: ares.BankAssignForced},
-			funcBytes(work), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	asnap := v.(*allocSnapshot)
-	res := &Result{
-		Coalesce: psnap.coalesce, SDG: psnap.sdg, Sched: psnap.sched,
-		Alloc: asnap.alloc, BankAssignForced: asnap.forced,
-	}
-	work := asnap.fn
-	if opts.Method == MethodBRC || work.Name != f.Name {
-		// brc renumbers in place, and a shared snapshot may carry another
-		// symbol name — either way this compile needs a private clone.
-		work = work.Clone()
-		work.Name = f.Name
-	}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	if err := runPost(ctx, work, analysis.NewWithArena(work, ar), opts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 func verifySemantics(orig, allocated *ir.Func, opts Options) error {
