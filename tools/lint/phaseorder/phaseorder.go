@@ -14,10 +14,14 @@
 // reports any call whose rank is lower than an earlier call's in the same
 // function body (nested function literals are separate bodies; graph
 // builders like sdg.Build are queries, not phases, and carry no rank).
+// A composite literal in a non-test file is ranked the same way, function
+// literals included, so a table of phases must list them in pipeline
+// order; test files hold tables of independent cases and are exempt.
 package phaseorder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -55,15 +59,26 @@ var rankName = map[int]string{
 }
 
 func run(pass *analysis.Pass) error {
+	reported := map[token.Pos]bool{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkBody(pass, fn.Body)
+					checkSeq(pass, fn.Body, false, reported)
 				}
 			case *ast.FuncLit:
-				checkBody(pass, fn.Body)
+				checkSeq(pass, fn.Body, false, reported)
+			}
+			return true
+		})
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				checkSeq(pass, lit, true, reported)
+				return false // the outermost literal covers the nested ones
 			}
 			return true
 		})
@@ -71,14 +86,14 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkBody scans one function body in source order, skipping nested
-// function literals (they run on their own schedule), and reports rank
-// inversions.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+// checkSeq scans root in source order and reports rank inversions, each
+// call at most once. A function body skips nested function literals (they
+// run on their own schedule); a composite literal enters them.
+func checkSeq(pass *analysis.Pass, root ast.Node, enterFuncLits bool, reported map[token.Pos]bool) {
 	maxRank := 0
 	var maxCall string
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n.Pos() != body.Pos() {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok && !enterFuncLits {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
@@ -90,9 +105,12 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		if rank < maxRank {
-			pass.Reportf(call.Pos(),
-				"pipeline phase %s (%s) called after %s: violates the Figure-4 phase order",
-				name, rankName[rank], maxCall)
+			if !reported[call.Pos()] {
+				reported[call.Pos()] = true
+				pass.Reportf(call.Pos(),
+					"pipeline phase %s (%s) called after %s: violates the Figure-4 phase order",
+					name, rankName[rank], maxCall)
+			}
 		} else if rank > maxRank {
 			maxRank, maxCall = rank, name
 		}

@@ -29,11 +29,19 @@ var _ = renumber.Run
 var _ = conflict.Analyze
 `
 
+// phaseTable declares the entry type of the table fixtures.
+const phaseTable = `type phase struct {
+	name string
+	run  func(f any)
+}
+`
+
 // TestPhaseOrder drives the analyzer over fixture pipelines. The
 // out-of-order fixtures double as the CI self-test seed.
 func TestPhaseOrder(t *testing.T) {
 	cases := []struct {
 		name string
+		file string // fixture file name; "fixture.go" when empty
 		src  string
 		want []string // substring each finding must contain, in order
 	}{
@@ -129,10 +137,60 @@ func TestPhaseOrder(t *testing.T) {
 	sdg.Build(f)
 }`,
 		},
+		{
+			// A table of phases ranks in source order, function literals
+			// included.
+			name: "phase-table-in-order-clean",
+			src: phaseTable + `var phases = []phase{
+	{"coalesce", func(f any) { coalesce.RunCached(f) }},
+	{"sdg-split", func(f any) { sdg.Split(f) }},
+	{"sched", func(f any) { sched.Run(f) }},
+	{"regalloc", func(f any) {
+		sdg.Build(f)
+		regalloc.RunContext(f)
+	}},
+	{"conflict-analysis", func(f any) { conflict.AnalyzeWith(f) }},
+}`,
+		},
+		{
+			name: "phase-table-swapped-flagged",
+			src: phaseTable + `var phases = []phase{
+	{"coalesce", func(f any) { coalesce.RunCached(f) }},
+	{"sched", func(f any) { sched.Run(f) }},
+	{"sdg-split", func(f any) { sdg.Split(f) }},
+	{"conflict-analysis", func(f any) { conflict.AnalyzeWith(f) }},
+}`,
+			want: []string{"sdg.Split"},
+		},
+		{
+			// An inversion inside one entry's function literal is one
+			// finding, though both the body and the table rank it.
+			name: "phase-table-inversion-in-entry-reported-once",
+			src: phaseTable + `var phases = []phase{
+	{"alloc", func(f any) {
+		regalloc.Run(f)
+		assign.PresCount(f)
+	}},
+}`,
+			want: []string{"assign.PresCount"},
+		},
+		{
+			// Test files hold tables of independent cases.
+			name: "phase-table-in-test-file-unchecked",
+			file: "fixture_test.go",
+			src: phaseTable + `var cases = []phase{
+	{"sched", func(f any) { sched.Run(f) }},
+	{"coalesce", func(f any) { coalesce.Run(f) }},
+}`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diags := linttest.Check(t, phaseorder.Analyzer, "prescount/fixture", "fixture.go", header+tc.src)
+			file := tc.file
+			if file == "" {
+				file = "fixture.go"
+			}
+			diags := linttest.Check(t, phaseorder.Analyzer, "prescount/fixture", file, header+tc.src)
 			if len(diags) != len(tc.want) {
 				t.Fatalf("got %d findings, want %d: %v", len(diags), len(tc.want), diags)
 			}
