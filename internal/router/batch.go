@@ -17,7 +17,8 @@ import (
 // their entries against the surviving ring in bounded retry rounds; entries
 // that exhaust the rounds fail individually — the batch itself never 5xxs.
 // An entry whose last round was answered 429 fails as saturated, one that
-// found no backend as no_backend.
+// found no backend as no_backend. A sub-batch whose send fails after the
+// client gave up demotes nobody and is not retried.
 func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	body, ok := r.readBody(w, req)
 	if !ok {
@@ -89,6 +90,9 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 					resp.Body.Close()
 				}
 				if err != nil {
+					if ctx.Err() != nil {
+						return // the client gave up, which says nothing about b
+					}
 					b.failures.Add(1)
 					b.state.Store(stateDown)
 					retryMu.Lock()

@@ -365,8 +365,9 @@ func (br *backendReader) Read(p []byte) (int, error) {
 // (the node died mid-request) and 429 (saturated); everything else,
 // including compile errors and deadlines, is the authoritative answer. The
 // final attempt's 429 passes through, read into memory, so saturation
-// stays a 4xx end to end; the response is nil only when no healthy backend
-// was available at all.
+// stays a 4xx end to end. A send that fails after the request's context
+// ended demotes nobody and ends the walk. The response is nil only when no
+// healthy backend was available at all, or the client gave up first.
 func (r *Router) forward(ctx context.Context, key uint64, path, contentType string, body []byte) (*http.Response, *backend) {
 	var last *http.Response
 	for hop, b := range r.candidates(key) {
@@ -394,6 +395,9 @@ func (r *Router) forward(ctx context.Context, key uint64, path, contentType stri
 			}
 		}
 		if err != nil {
+			if ctx.Err() != nil {
+				break // the client gave up, which says nothing about b
+			}
 			// Connection failure: demote now rather than waiting for the
 			// next probe, and hop to the successor.
 			b.failures.Add(1)

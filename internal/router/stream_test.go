@@ -119,6 +119,43 @@ func TestStreamClientHangupKeepsBackend(t *testing.T) {
 	}
 }
 
+// TestClientGiveUpKeepsBackend: a client that times out before its
+// backend answers ends the request, and the backend, which did nothing
+// wrong, stays healthy, on a compile and on a batch.
+func TestClientGiveUpKeepsBackend(t *testing.T) {
+	compile, _ := json.Marshal(server.CompileRequest{MIR: kernelMIR})
+	batch, _ := json.Marshal(server.BatchRequest{Entries: []server.CompileRequest{{MIR: kernelMIR}}})
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+	}{{"compile", "/v1/compile", compile}, {"batch", "/v1/compile/batch", batch}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, url, done := streamFleet(t, func(w http.ResponseWriter, req *http.Request) {
+				select {
+				case <-time.After(500 * time.Millisecond):
+					w.Header().Set("Content-Type", "application/json")
+					io.WriteString(w, `{}`)
+				case <-req.Context().Done():
+				}
+			})
+			client := &http.Client{Timeout: 50 * time.Millisecond}
+			resp, err := client.Post(url+tc.path, "application/json", bytes.NewReader(tc.body))
+			if err == nil {
+				resp.Body.Close()
+				t.Fatalf("status %d before the client's timeout, want the client to give up", resp.StatusCode)
+			}
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the router kept forwarding for a client that gave up")
+			}
+			if b := r.Statz().Backends[0]; b.State != "healthy" || b.Failures != 0 {
+				t.Errorf("backend %s with %d failures after the client gave up, want healthy with 0", b.State, b.Failures)
+			}
+		})
+	}
+}
+
 // TestRouterReusesBackendConns: traffic from 16 concurrent clients through
 // the router to one daemon keeps its backend connections. None closes
 // while the traffic runs, and no more open than the clients can use.
