@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"prescount/internal/bankfile"
@@ -68,6 +69,76 @@ func TestPortfolioDigestKeysEveryKnob(t *testing.T) {
 		if (Options{File: bankfile.RV2(2), Method: m}).FullDigest() == base.FullDigest() {
 			t.Errorf("portfolio shares a FullDigest with %v", m)
 		}
+	}
+}
+
+// digestExempt are the Options fields that never reach the compiled output
+// and so stay out of every digest (see digest.go).
+var digestExempt = map[string]bool{
+	"Cache": true, "Workers": true, "VerifySemantics": true,
+	"VerifyMemSize": true, "VerifyEach": true, "Validate": true,
+}
+
+// TestEveryOptionKeysTheCache walks every field of Options and of its
+// File: set to a non-default value, a field must change FullDigest under
+// some method that reads it, or be on digestExempt and change it under
+// none. A field added to Options without a digest entry, or without an
+// exemption, fails here before the cache can serve one configuration's
+// bytes for another.
+func TestEveryOptionKeysTheCache(t *testing.T) {
+	// Every method, plain and on a subgrouped file with Subgroups (where
+	// SDGMaxGroup is read).
+	var bases []Options
+	for m := MethodNon; m <= MethodPortfolio; m++ {
+		bases = append(bases,
+			Options{File: bankfile.RV2(2), Method: m},
+			Options{File: bankfile.DSA(64), Method: m, Subgroups: true})
+	}
+	check := func(name string, field func(*Options) reflect.Value) {
+		keyed := false
+		for _, base := range bases {
+			o := base
+			v := field(&o)
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int:
+				v.SetInt(v.Int() + 3)
+			case reflect.Float64:
+				v.SetFloat(v.Float() + 0.5)
+			case reflect.Pointer:
+				v.Set(reflect.New(v.Type().Elem()))
+			default:
+				t.Fatalf("%s: no non-default value for kind %v; extend this test", name, v.Kind())
+			}
+			keyed = keyed || o.FullDigest() != base.FullDigest()
+		}
+		switch {
+		case digestExempt[name] && keyed:
+			t.Errorf("%s is exempt but changes FullDigest", name)
+		case !digestExempt[name] && !keyed:
+			t.Errorf("%s changes FullDigest under no method: hash it in digest.go or exempt it", name)
+		}
+	}
+	seen := 0
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if digestExempt[ot.Field(i).Name] {
+			seen++
+		}
+		if ot.Field(i).Name == "File" {
+			ft := ot.Field(i).Type
+			for j := 0; j < ft.NumField(); j++ {
+				check("File."+ft.Field(j).Name, func(o *Options) reflect.Value {
+					return reflect.ValueOf(o).Elem().Field(i).Field(j)
+				})
+			}
+			continue
+		}
+		check(ot.Field(i).Name, func(o *Options) reflect.Value { return reflect.ValueOf(o).Elem().Field(i) })
+	}
+	if seen != len(digestExempt) {
+		t.Errorf("digestExempt names %d fields, Options has %d of them", len(digestExempt), seen)
 	}
 }
 
