@@ -17,9 +17,8 @@
 //     (core.Options.AllocDigest) and shared across every bank point of a
 //     sweep; only the cheap per-bank conflict analysis reruns.
 //
-// The cache stores opaque values (internal/core owns the concrete snapshot
-// and result types; storing them here directly would create an import
-// cycle). Lookups have singleflight semantics: concurrent requests for the
+// The cache stores opaque values (internal/core stores a *core.Result in
+// every layer; naming that type here would create an import cycle). Lookups have singleflight semantics: concurrent requests for the
 // same key run the compute function once and share the outcome, so a
 // parallel sweep does not burn workers producing identical entries.
 //

@@ -524,26 +524,26 @@ func funcBytes(f *ir.Func) int64 {
 // the function as the layer leaves it, shared and never mutated.
 func compileCached(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	fp := f.Fingerprint()
-	res, err := cached(opts.Cache.Full, compilecache.Key{Fingerprint: fp, Digest: opts.FullDigest()}, func() (*Result, error) {
-		pre, err := cached(opts.Cache.Prefix, compilecache.Key{Fingerprint: fp, Digest: opts.PrefixDigest()}, func() (*Result, error) {
-			return runStage(ctx, opts, &Result{Func: f}, f.Name, prefixLayer, prefixLayer, false)
-		})
+	res, err := stored(opts.Cache.Full(compilecache.Key{Fingerprint: fp, Digest: opts.FullDigest()}, func() (any, int64, error) {
+		pre, err := stored(opts.Cache.Prefix(compilecache.Key{Fingerprint: fp, Digest: opts.PrefixDigest()}, func() (any, int64, error) {
+			return entry(runStage(ctx, opts, &Result{Func: f}, f.Name, prefixLayer, prefixLayer, false))
+		}))
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if !allocCacheable(opts) {
-			return runStage(ctx, opts, pre, f.Name, allocLayer, postLayer, false)
+			return entry(runStage(ctx, opts, pre, f.Name, allocLayer, postLayer, false))
 		}
-		alloc, err := cached(opts.Cache.Alloc, compilecache.Key{Fingerprint: fp, Digest: opts.AllocDigest()}, func() (*Result, error) {
-			return runStage(ctx, opts, pre, f.Name, allocLayer, allocLayer, false)
-		})
+		alloc, err := stored(opts.Cache.Alloc(compilecache.Key{Fingerprint: fp, Digest: opts.AllocDigest()}, func() (any, int64, error) {
+			return entry(runStage(ctx, opts, pre, f.Name, allocLayer, allocLayer, false))
+		}))
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		// brc renumbers in place; non's conflict analysis only reads the
 		// allocated function, so it shares the stored one.
-		return runStage(ctx, opts, alloc, f.Name, postLayer, postLayer, opts.Method == MethodNon)
-	})
+		return entry(runStage(ctx, opts, alloc, f.Name, postLayer, postLayer, opts.Method == MethodNon))
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -554,16 +554,17 @@ func compileCached(ctx context.Context, f *ir.Func, opts Options) (*Result, erro
 	return renamedResult(res, f.Name), nil
 }
 
-// cached returns the Result that one cache layer (opts.Cache.Full, Prefix
-// or Alloc) holds under key, computing and storing it on a miss.
-func cached(layer func(compilecache.Key, func() (any, int64, error)) (any, bool, error), key compilecache.Key, compute func() (*Result, error)) (*Result, error) {
-	v, _, err := layer(key, func() (any, int64, error) {
-		res, err := compute()
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, funcBytes(res.Func), nil
-	})
+// entry is what a cache layer's compute function returns for a stage's
+// outcome: the Result and the bytes its function retains.
+func entry(res *Result, err error) (any, int64, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, funcBytes(res.Func), nil
+}
+
+// stored is the Result a cache layer lookup returned.
+func stored(v any, _ bool, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
