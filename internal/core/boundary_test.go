@@ -117,6 +117,58 @@ func boundaryCases(t *testing.T) []boundaryCase {
 			"2: " + before + "renumber",
 			"3: " + before + "conflict-analysis",
 		}},
+		// The portfolio polls once, then each candidate polls at its own
+		// boundaries, in rank order: bpc, brc, binpack, coloring. No
+		// candidate scores 0 here, so all four run. On a cold cache the
+		// three after bpc hit its prefix.
+		{name: "portfolio", f: r, opts: Options{File: rv, Method: MethodPortfolio}, checks: 71, polls: []string{
+			"1-2: " + entry,
+			"3: " + before + "coalesce",
+			"4: " + before + "sched",
+			"5: " + before + "bank-assign",
+			"6: " + before + "regalloc",
+			"7-31: " + regalloc,
+			"32: " + before + "conflict-analysis",
+			"33: " + entry,
+			"34: " + before + "coalesce",
+			"35: " + before + "sched",
+			"36: " + before + "regalloc",
+			"37-60: " + regalloc,
+			"61: " + before + "renumber",
+			"62: " + before + "conflict-analysis",
+			"63: " + entry,
+			"64: " + before + "coalesce",
+			"65: " + before + "sched",
+			"66: " + before + "regalloc",
+			"67: " + before + "conflict-analysis",
+			"68: " + entry,
+			"69: " + before + "coalesce",
+			"70: " + before + "sched",
+			"71: " + before + "regalloc",
+			"72-101: " + entry,
+			"102: " + before + "conflict-analysis",
+		}},
+		{name: "portfolio/cold-cache", f: r, opts: Options{File: rv, Method: MethodPortfolio}, cache: "cold", polls: []string{
+			"1-2: " + entry,
+			"3: " + before + "coalesce",
+			"4: " + before + "sched",
+			"5: " + before + "bank-assign",
+			"6: " + before + "regalloc",
+			"7-31: " + regalloc,
+			"32: " + before + "conflict-analysis",
+			"33: " + entry,
+			"34: " + before + "regalloc",
+			"35-58: " + regalloc,
+			"59: " + before + "renumber",
+			"60: " + before + "conflict-analysis",
+			"61: " + entry,
+			"62: " + before + "regalloc",
+			"63: " + before + "conflict-analysis",
+			"64: " + entry,
+			"65: " + before + "regalloc",
+			"66-95: " + entry,
+			"96: " + before + "conflict-analysis",
+		}},
 	}
 }
 

@@ -178,14 +178,14 @@ func Compile(f *ir.Func, opts Options) (*Result, error) {
 // context.DeadlineExceeded) / context.Canceled discriminates cancellation
 // from compile failures. Cancelled compiles are never retained by
 // opts.Cache — a later lookup of the same key recomputes under its own
-// context. Under MethodPortfolio it races the candidate methods (race) and
-// returns the winner's result.
+// context. Under MethodPortfolio it compiles the candidate methods in rank
+// order (race) and returns the winner's result.
 func CompileContext(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", f.Name, err)
 	}
 	if opts.Method == MethodPortfolio {
-		return race(ctx, f, opts, 0)
+		return race(ctx, f, opts)
 	}
 	if err := f.Verify(); err != nil {
 		return nil, fmt.Errorf("core: input: %w", err)

@@ -3,18 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"prescount/internal/ir"
-	"prescount/internal/pool"
 )
 
-// The allocator portfolio (MethodPortfolio) races several methods on each
-// function and keeps the cheapest result. Its contract is determinism:
-// whichever order the candidates finish in, the winning method, and with
-// it the output program, is a pure function of the input and options,
-// byte-identical run to run and across worker-pool sizes. See DESIGN.md,
-// "Allocator portfolio".
+// The allocator portfolio (MethodPortfolio) compiles each function under
+// several methods and keeps the cheapest result. Its contract is
+// determinism: the winning method, and with it the output program, is a
+// pure function of the input and options, and so is the set of candidates
+// that run, and with it what reaches the compile cache and the disk. See
+// DESIGN.md, "Allocator portfolio".
 
 // portfolioMethods are the candidates, in rank order: the paper's method
 // first (it wins cost ties), then its renumbering baseline, then the two
@@ -29,90 +27,45 @@ func StaticScore(conflicts, spills, copies int) int {
 	return 4*conflicts + 2*spills + copies
 }
 
-// race compiles f once per portfolio method on at most workers goroutines
-// (0 means one per method) and returns the result with the lowest
-// StaticScore; its Method names the winner. opts.Method is overridden per
-// candidate. With opts.Cache set, the candidates share the
-// method-independent prefix (coalesce → SDG → sched) through the cache's
-// singleflight, so only the assign+alloc suffixes actually race.
+// race compiles f once per portfolio method, in rank order on the caller's
+// goroutine, and returns the result with the lowest StaticScore; its Method
+// names the winner. opts.Method is overridden per candidate. With
+// opts.Cache set, the first candidate computes the method-independent
+// prefix (coalesce → SDG → sched) and the later ones hit it.
 //
-// A candidate that fails does not fail the race: the race errors only when
-// every candidate does, or when ctx itself is cancelled. When a candidate
-// scores 0, every candidate ranked after it is cancelled at its next phase
-// boundary: no later rank can beat cost 0 at an earlier rank, so the
-// short-circuit never changes the winner.
-func race(ctx context.Context, f *ir.Func, opts Options, workers int) (*Result, error) {
-	const n = len(portfolioMethods)
-	if workers <= 0 {
-		workers = n
-	}
+// A candidate that fails does not fail the portfolio: race errors only when
+// every candidate does, or when ctx ends. A candidate that scores 0 ends
+// the loop: no later rank can beat cost 0 at an earlier rank, so stopping
+// never changes the winner.
+func race(ctx context.Context, f *ir.Func, opts Options) (*Result, error) {
 	var (
-		res     [n]*Result
-		score   [n]int
-		errs    [n]error
-		ctxs    [n]context.Context
-		cancels [n]context.CancelFunc
+		best      *Result
+		bestScore int
+		firstErr  error
 	)
-	for i := range ctxs {
-		ctxs[i], cancels[i] = context.WithCancel(ctx)
-	}
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-
-	var mu sync.Mutex
-	zeroRank := n // guarded by mu: the lowest rank that scored 0 so far
-	err := pool.Run(ctx, n, workers, func(_ context.Context, i int) error {
-		mu.Lock()
-		skip := i > zeroRank
-		mu.Unlock()
-		if skip {
-			return nil
-		}
+	for _, m := range portfolioMethods {
 		mopts := opts
-		mopts.Method = portfolioMethods[i]
-		r, err := CompileContext(ctxs[i], f, mopts)
+		mopts.Method = m
+		r, err := CompileContext(ctx, f, mopts)
 		if err != nil {
-			if ctxs[i].Err() == nil {
-				errs[i] = err
-				return nil
-			}
 			if ctx.Err() != nil {
-				return err // the caller is gone: abort the whole race
+				return nil, err
 			}
-			return nil // short-circuited mid-compile
-		}
-		res[i], score[i] = r, StaticScore(r.Report.StaticConflicts, Spills(r.Report), r.Report.Copies)
-		if score[i] == 0 {
-			mu.Lock()
-			if i < zeroRank {
-				zeroRank = i
-				for j := i + 1; j < n; j++ {
-					cancels[j]()
-				}
+			if firstErr == nil {
+				firstErr = err
 			}
-			mu.Unlock()
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// pool.Run returned nil, so every candidate ran. A missing result is a
-	// failure, or a short-circuit behind a zero score that wins anyway.
-	// Rank 0 is never short-circuited, so with no result at all, errs[0]
-	// holds the first failure in rank order.
-	best := -1
-	for i, r := range res {
-		if r != nil && (best < 0 || score[i] < score[best]) {
-			best = i
+		score := StaticScore(r.Report.StaticConflicts, Spills(r.Report), r.Report.Copies)
+		if best == nil || score < bestScore {
+			best, bestScore = r, score
+		}
+		if score == 0 {
+			break
 		}
 	}
-	if best < 0 {
-		return nil, fmt.Errorf("portfolio: %s: every candidate failed: %w", f.Name, errs[0])
+	if best == nil {
+		return nil, fmt.Errorf("portfolio: %s: every candidate failed: %w", f.Name, firstErr)
 	}
-	return res[best], nil
+	return best, nil
 }
