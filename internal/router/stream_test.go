@@ -120,8 +120,9 @@ func TestStreamClientHangupKeepsBackend(t *testing.T) {
 }
 
 // TestClientGiveUpKeepsBackend: a client that times out before its
-// backend answers ends the request, and the backend, which did nothing
-// wrong, stays healthy, on a compile and on a batch.
+// backend answers ends the request, the backend, which did nothing wrong,
+// stays healthy, and the router counts no 503, on a compile and on a
+// batch.
 func TestClientGiveUpKeepsBackend(t *testing.T) {
 	compile, _ := json.Marshal(server.CompileRequest{MIR: kernelMIR})
 	batch, _ := json.Marshal(server.BatchRequest{Entries: []server.CompileRequest{{MIR: kernelMIR}}})
@@ -151,6 +152,9 @@ func TestClientGiveUpKeepsBackend(t *testing.T) {
 			}
 			if b := r.Statz().Backends[0]; b.State != "healthy" || b.Failures != 0 {
 				t.Errorf("backend %s with %d failures after the client gave up, want healthy with 0", b.State, b.Failures)
+			}
+			if n := r.Statz().Rejected503; n != 0 {
+				t.Errorf("rejected_503 = %d after the client gave up, want 0", n)
 			}
 		})
 	}
