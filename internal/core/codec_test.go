@@ -12,11 +12,13 @@ import (
 )
 
 // codecCases spans the option space the codec must round-trip: every
-// method, both platform shapes, the DSA subgroup path and linear scan.
-// TestCodecRoundTrip also round-trips the Rescues and ColoringBailed stats,
-// set by hand. A portfolio result is one of these, and
-// TestDiskServedByteIdentity needs every case to land on disk, which a
-// race's zero-score short-circuit does not promise for its losers.
+// allocator method, both platform shapes, the DSA subgroup path and linear
+// scan. TestCodecRoundTrip also round-trips the Rescues and ColoringBailed
+// stats, set by hand, and TestCodecRoundTripsEveryResultField sets every
+// field. A portfolio result is its winner's, one of these. The portfolio
+// itself is left out because TestDiskServedByteIdentity needs every case
+// to land on disk under its own digest, and a portfolio compile stores
+// only its candidates' entries.
 func codecCases() []Options {
 	return []Options{
 		{File: bankfile.Config{NumRegs: 32, NumBanks: 2}, Method: MethodBPC},
@@ -146,6 +148,104 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertResultsEqual(t, &set, dec, c.method.String()+" stats set by hand")
+	}
+}
+
+// TestCodecRoundTripsEveryResultField walks every field of Result, into the
+// conflict report, the allocator's result and the four stats structs. It
+// sets each one alone to a non-zero value on a compiled result, and
+// EncodeResult then DecodeResult must give the field back. A field added
+// to Result that the codec does not carry fails here until the codec
+// writes it.
+func TestCodecRoundTripsEveryResultField(t *testing.T) {
+	// Func is compared by text, NumFPRegs and SpillSlots in
+	// assertResultsEqual.
+	exempt := map[string]bool{"Func": true}
+	// The allocator's recording fields, filled only under verification,
+	// which bypasses every cache.
+	rejected := map[string]bool{"Alloc.Assignments": true, "Alloc.SpillSlotOf": true, "Alloc.EntryLiveIn": true}
+
+	base, err := Compile(codecFuncs(t)[0], Options{File: bankfile.RV2(2), Method: MethodBPC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// at follows a path of field indexes from r through its pointers.
+	at := func(r *Result, path []int) reflect.Value {
+		v := reflect.ValueOf(r).Elem()
+		for _, i := range path {
+			if v.Kind() == reflect.Pointer {
+				v = v.Elem()
+			}
+			v = v.Field(i)
+		}
+		return v
+	}
+	check := func(name string, path []int) {
+		r := *base
+		rep, alloc := *base.Report, *base.Alloc
+		r.Report, r.Alloc = &rep, &alloc
+		v := at(&r, path)
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(v.Int() + 1) // Method: the next method, still an allocator
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.Map:
+			m := reflect.MakeMap(v.Type())
+			m.SetMapIndex(reflect.ValueOf(1).Convert(v.Type().Key()), reflect.ValueOf(7).Convert(v.Type().Elem()))
+			v.Set(m)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		default:
+			t.Fatalf("%s: no non-zero value for kind %v; extend this test", name, v.Kind())
+		}
+		enc, err := EncodeResult(&r)
+		if rejected[name] {
+			if err == nil {
+				t.Errorf("%s: EncodeResult accepted a recording field", name)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		dec, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if got := at(dec, path); !reflect.DeepEqual(got.Interface(), v.Interface()) {
+			t.Errorf("%s: set to %v, decoded as %v", name, v.Interface(), got.Interface())
+		}
+	}
+	seen := 0
+	var walk func(prefix string, typ reflect.Type, path []int)
+	walk = func(prefix string, typ reflect.Type, path []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := prefix + f.Name
+			p := append(append([]int(nil), path...), i)
+			ft := f.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			switch {
+			case exempt[name]:
+				seen++
+			case ft.Kind() == reflect.Struct:
+				walk(name+".", ft, p)
+			default:
+				if rejected[name] {
+					seen++
+				}
+				check(name, p)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Result{}), nil)
+	if seen != len(exempt)+len(rejected) {
+		t.Errorf("the exempt and rejected lists name %d fields, Result has %d of them", len(exempt)+len(rejected), seen)
 	}
 }
 
