@@ -1,24 +1,25 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"prescount/internal/server"
 )
 
-// proxyBatch regroups a batch per backend and fans the sub-batches out in
-// parallel. Identical entries hash identically, so every duplicate of a
-// kernel lands in the same sub-batch and the backend's dedup collapses
-// them fleet-wide. Failed sub-batches (node death, saturation) re-resolve
-// their entries against the surviving ring in bounded retry rounds; entries
-// that exhaust the rounds fail individually — the batch itself never 5xxs.
-// An entry whose last round was answered 429 fails as saturated, one that
-// found no backend as no_backend. A sub-batch whose send fails after the
-// client gave up demotes nobody and is not retried.
+// proxyBatch regroups a batch per backend and sends the sub-batches
+// through forward in parallel. Identical entries hash identically, so
+// every duplicate of a kernel lands in the same sub-batch and the
+// backend's dedup collapses them fleet-wide. A sub-batch walks its first
+// entry's ring successors the way a compile does; the answer it ends with
+// maps onto its entries, which fail individually inside the 200 envelope —
+// the batch itself never 5xxs. An entry with no healthy backend fails as
+// no_backend at once.
 func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	body, ok := r.readBody(w, req)
 	if !ok {
@@ -35,127 +36,80 @@ func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	r.batchReqs.Add(1)
 
-	ctx := req.Context()
+	// Group each entry under its first healthy backend, the node its
+	// compile would reach first.
 	results := make([]json.RawMessage, len(batch.Entries))
-	deduped := 0
-	var mu sync.Mutex // guards results slots written by sub-batch goroutines
-	// saturated marks the entries whose latest round was answered 429. A
-	// round resets its pending entries before it sends; then only the one
-	// sub-batch goroutine that carries an entry writes its mark.
-	saturated := make([]bool, len(batch.Entries))
-
-	pending := make([]int, len(batch.Entries))
-	for i := range pending {
-		pending[i] = i
+	groups := map[*backend][]int{}
+	for i, e := range batch.Entries {
+		cands := r.candidates(e.key)
+		if len(cands) == 0 {
+			results[i] = entryError("no healthy backend", "no_backend")
+			continue
+		}
+		groups[cands[0]] = append(groups[cands[0]], i)
 	}
-	for round := 0; round < r.cfg.Retries && len(pending) > 0; round++ {
-		if round > 0 {
-			r.jitteredBackoff(ctx, round)
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		// Resolve each pending entry to its current primary backend.
-		groups := map[*backend][]int{}
-		var unroutable []int
-		for _, i := range pending {
-			saturated[i] = false
-			cands := r.candidates(batch.Entries[i].key)
-			if len(cands) == 0 {
-				unroutable = append(unroutable, i)
-				continue
-			}
-			groups[cands[0]] = append(groups[cands[0]], i)
-		}
-		retry := unroutable
-		var wg sync.WaitGroup
-		var retryMu sync.Mutex
-		for b, idxs := range groups {
-			wg.Add(1)
-			go func(b *backend, idxs []int) {
-				defer wg.Done()
-				sub := routedBatchRequest{TimeoutMS: batch.TimeoutMS}
-				for _, i := range idxs {
-					sub.Entries = append(sub.Entries, batch.Entries[i])
-				}
-				payload, err := json.Marshal(sub)
-				if err != nil {
-					return // per-entry no_backend error after the rounds
-				}
-				b.requests.Add(1)
-				resp, err := r.send(ctx, b.url+"/v1/compile/batch", "application/json", payload)
-				var respBody []byte
-				if err == nil {
-					respBody, err = io.ReadAll(resp.Body)
-					resp.Body.Close()
-				}
-				if err != nil {
-					if ctx.Err() != nil {
-						return // the client gave up, which says nothing about b
-					}
-					b.failures.Add(1)
-					b.state.Store(stateDown)
-					retryMu.Lock()
-					retry = append(retry, idxs...)
-					retryMu.Unlock()
-					r.retryHops.Add(1)
-					return
-				}
-				status := resp.StatusCode
-				if status == http.StatusTooManyRequests {
-					for _, i := range idxs {
-						saturated[i] = true
-					}
-					b.failures.Add(1)
-					retryMu.Lock()
-					retry = append(retry, idxs...)
-					retryMu.Unlock()
-					r.retryHops.Add(1)
-					return
-				}
-				var subResp routedBatchResponse
-				if status != http.StatusOK || json.Unmarshal(respBody, &subResp) != nil ||
-					len(subResp.Results) != len(idxs) {
-					// An authoritative non-OK (or mangled) answer: fail these
-					// entries in place with the upstream's story.
-					msg := json.RawMessage(fmt.Sprintf(
-						`{"error":{"error":"upstream answered HTTP %d","code":"upstream"}}`, status))
-					mu.Lock()
-					for _, i := range idxs {
-						results[i] = msg
-					}
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				for j, i := range idxs {
-					results[i] = subResp.Results[j]
-				}
-				deduped += subResp.Deduped
-				mu.Unlock()
-			}(b, idxs)
-		}
-		wg.Wait()
-		pending = retry
+	// Each sub-batch writes only its own entries' slots of results.
+	var deduped atomic.Int64
+	var wg sync.WaitGroup
+	for _, idxs := range groups {
+		wg.Add(1)
+		go func(idxs []int) {
+			defer wg.Done()
+			deduped.Add(int64(r.forwardBatch(req.Context(), batch, idxs, results)))
+		}(idxs)
 	}
-	// Entries that survived every round unserved fail individually.
-	noBackend := json.RawMessage(`{"error":{"error":"no healthy backend","code":"no_backend"}}`)
-	saturatedErr := json.RawMessage(`{"error":{"error":"every backend tried answered 429; retry later","code":"` + server.CodeSaturated + `"}}`)
-	for i, res := range results {
-		switch {
-		case res != nil:
-		case saturated[i]:
-			results[i] = saturatedErr
-		default:
-			results[i] = noBackend
-		}
-	}
-	resp := struct {
-		Results []json.RawMessage `json:"results"`
-		Deduped int               `json:"deduped"`
-	}{Results: results, Deduped: deduped}
+	wg.Wait()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	json.NewEncoder(w).Encode(routedBatchResponse{Results: results, Deduped: int(deduped.Load())})
+}
+
+// forwardBatch sends the entries idxs of batch as one sub-batch through
+// forward, under the routing key of its first entry, writes each entry's
+// result into results and returns the sub-batch's deduped count. No
+// answer fails the entries as no_backend, a final 429 as saturated, and
+// any other non-200, or a body that is not one result per entry, as
+// upstream. A backend that breaks off its answer is demoted, as on a
+// compile.
+func (r *Router) forwardBatch(ctx context.Context, batch routedBatchRequest, idxs []int, results []json.RawMessage) int {
+	fail := func(res json.RawMessage) int {
+		for _, i := range idxs {
+			results[i] = res
+		}
+		return 0
+	}
+	sub := routedBatchRequest{TimeoutMS: batch.TimeoutMS}
+	for _, i := range idxs {
+		sub.Entries = append(sub.Entries, batch.Entries[i])
+	}
+	payload, _ := json.Marshal(sub) // raw entries that already decoded: cannot fail
+	resp, b := r.forward(ctx, sub.Entries[0].key, "/v1/compile/batch", "application/json", payload)
+	if resp == nil {
+		return fail(entryError("no healthy backend", "no_backend"))
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusTooManyRequests {
+		return fail(entryError("every backend tried answered 429; retry later", server.CodeSaturated))
+	}
+	respBody, err := io.ReadAll(resp.Body)
+	if err != nil && ctx.Err() == nil {
+		b.failures.Add(1)
+		b.state.Store(stateDown)
+	}
+	var subResp routedBatchResponse
+	if err != nil || resp.StatusCode != http.StatusOK ||
+		json.Unmarshal(respBody, &subResp) != nil || len(subResp.Results) != len(idxs) {
+		return fail(entryError(fmt.Sprintf("upstream answered HTTP %d", resp.StatusCode), "upstream"))
+	}
+	for j, i := range idxs {
+		results[i] = subResp.Results[j]
+	}
+	return subResp.Deduped
+}
+
+// entryError is a batch entry's error result; msg and code hold nothing
+// JSON would escape.
+func entryError(msg, code string) json.RawMessage {
+	return json.RawMessage(`{"error":{"error":"` + msg + `","code":"` + code + `"}}`)
 }
 
 // routedBatchRequest mirrors server.BatchRequest but keeps each entry as
@@ -187,8 +141,9 @@ func (e *routedEntry) UnmarshalJSON(data []byte) error {
 
 func (e routedEntry) MarshalJSON() ([]byte, error) { return e.raw, nil }
 
-// routedBatchResponse is the slice of raw per-entry results a backend
-// answered, stitched back into request order by the caller.
+// routedBatchResponse is a batch answer with each entry's result kept raw:
+// a backend's answer to one sub-batch, and the router's stitched answer in
+// request order.
 type routedBatchResponse struct {
 	Results []json.RawMessage `json:"results"`
 	Deduped int               `json:"deduped"`

@@ -116,7 +116,7 @@ func TestRoutingKeyGroupsLikeFingerprints(t *testing.T) {
 // band.
 func TestRoutingKeySpread(t *testing.T) {
 	const n, kernels, even = 4, 1000, 40000
-	r := newRing(ringURLs(n), 128)
+	r := newRing(ringURLs(n))
 	want := make([]float64, n)
 	for i := 0; i < even; i++ {
 		want[r.primary(uint64(i)*0x9e3779b97f4a7c15)] += 1.0 / even

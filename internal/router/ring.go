@@ -5,6 +5,9 @@ import (
 	"sort"
 )
 
+// vnodes is the number of ring points per backend.
+const vnodes = 128
+
 // ring is a consistent-hash ring over backend indices. Each backend owns
 // vnodes points placed by hashing "url#i"; a key routes to the backend
 // owning the first point clockwise of the key's hash. Adding or removing
@@ -22,9 +25,9 @@ type ringPoint struct {
 }
 
 // newRing places vnodes points per backend URL. The point set depends only
-// on (urls, vnodes), so every router over the same backend list computes
-// the same routing.
-func newRing(urls []string, vnodes int) *ring {
+// on urls, so every router over the same backend list computes the same
+// routing.
+func newRing(urls []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(urls)*vnodes)}
 	var buf [20]byte
 	for b, url := range urls {
@@ -77,13 +80,4 @@ func (r *ring) successors(key uint64) []int {
 		}
 	}
 	return out
-}
-
-// primary returns the first backend for key.
-func (r *ring) primary(key uint64) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	return r.points[i%len(r.points)].backend
 }
