@@ -120,6 +120,16 @@ func TestBadInputReturnsError(t *testing.T) {
 	}
 }
 
+// TestBadBankCountReturnsError: -banks 0 fails as an error naming the
+// bank count, not as a panic in bank assignment.
+func TestBadBankCountReturnsError(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-banks", "0"}, strings.NewReader(kernelA), &out)
+	if err == nil || !strings.Contains(err.Error(), "NumBanks = 0, must be positive") {
+		t.Errorf("-banks 0: err = %v, want a NumBanks error", err)
+	}
+}
+
 // TestUnknownMethodReturnsError: a method name that is not a single method
 // or portfolio — including the retired "auto" — fails before compiling.
 func TestUnknownMethodReturnsError(t *testing.T) {

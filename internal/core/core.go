@@ -190,6 +190,9 @@ func CompileContext(ctx context.Context, f *ir.Func, opts Options) (*Result, err
 	if err := f.Verify(); err != nil {
 		return nil, fmt.Errorf("core: input: %w", err)
 	}
+	if err := opts.File.Normalize().Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", f.Name, err)
+	}
 	if err := checkInputBounds(f, opts); err != nil {
 		return nil, err
 	}
