@@ -171,6 +171,41 @@ func TestUnknownMethod400(t *testing.T) {
 	}
 }
 
+// TestRegsAboveBound400: a register file above maxRegs answers 400
+// bad_request naming regs, in the JSON and the raw envelope, and fails a
+// batch entry on its own; maxRegs itself compiles.
+func TestRegsAboveBound400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/compile", CompileRequest{MIR: kernelMIR, Regs: maxRegs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("regs=%d: status %d, want 200; body %s", maxRegs, resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/compile", CompileRequest{MIR: kernelMIR, Regs: 2 * maxRegs})
+	if e := decodeError(t, body); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Error, "regs") {
+		t.Errorf("JSON regs=%d: status %d %+v, want 400 bad_request naming regs", 2*maxRegs, resp.StatusCode, e)
+	}
+	raw, err := http.Post(ts.URL+"/v1/compile?regs=2048", "text/plain", strings.NewReader(kernelMIR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(raw.Body)
+	raw.Body.Close()
+	if e := decodeError(t, buf.Bytes()); raw.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Error, "regs") {
+		t.Errorf("raw regs=2048: status %d %+v, want 400 bad_request naming regs", raw.StatusCode, e)
+	}
+	resp, br := postBatch(t, ts.URL, BatchRequest{Entries: []CompileRequest{{MIR: kernelMIR, Regs: 2 * maxRegs}, {MIR: kernelMIR}}})
+	if br == nil {
+		t.Fatalf("batch status %d, want 200", resp.StatusCode)
+	}
+	if e := br.Results[0].Error; e == nil || e.Code != CodeBadRequest || !strings.Contains(e.Error, "regs") {
+		t.Errorf("batch entry regs=%d: %+v, want bad_request naming regs", 2*maxRegs, br.Results[0])
+	}
+	if br.Results[1].OK == nil {
+		t.Errorf("batch entry beside it failed: %+v", br.Results[1].Error)
+	}
+}
+
 func TestCompileError422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// The pipeline rejects linear scan in subgroup mode — a well-formed
