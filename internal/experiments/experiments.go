@@ -45,19 +45,6 @@ var Workers int
 // byte-identity guarantee ever be in doubt.
 var DisableCache bool
 
-// VerifyEach threads the phase-boundary verifier (core.Options.VerifyEach)
-// into every experiment compile — cmd/benchtab's -verify-each flag. Tables
-// are identical either way (the verifier only observes); wall-clock grows by
-// the verifier overhead, and verified compiles bypass the compile cache.
-var VerifyEach bool
-
-// Validate threads the translation validator (core.Options.Validate) into
-// every experiment compile — cmd/benchtab's -validate flag. Tables are
-// identical either way (the validator only observes); wall-clock grows by
-// the symbolic-execution overhead, and validated compiles bypass the
-// compile cache.
-var Validate bool
-
 // Methods compared throughout, in the order of the paper's figure legends
 // ("non, bcr, brc and bpc").
 var Methods = []core.Method{core.MethodNon, core.MethodBCR, core.MethodBRC, core.MethodBPC}
@@ -135,8 +122,6 @@ func (c *Counts) add(o Counts) {
 // true, hot functions of the allocated code are executed to collect
 // dynamic conflicts and cycles.
 func CompileProgram(p *workload.Program, opts core.Options, simulate, vliw bool) (Counts, error) {
-	opts.VerifyEach = opts.VerifyEach || VerifyEach
-	opts.Validate = opts.Validate || Validate
 	var total Counts
 	for _, f := range p.Funcs() {
 		res, err := core.Compile(f, opts)
@@ -235,7 +220,7 @@ func RunSweep(suites []*workload.Suite, numRegs int, banks []int, simulate bool)
 			sw.Cells[cellKey{bank, m}] = map[string]Counts{}
 			for _, s := range suites {
 				for _, p := range s.Programs {
-					jobs = append(jobs, job{cellKey{bank, m}, p, core.Options{File: file, Method: m, Cache: cache, VerifyEach: VerifyEach}})
+					jobs = append(jobs, job{cellKey{bank, m}, p, core.Options{File: file, Method: m, Cache: cache}})
 				}
 			}
 		}

@@ -87,7 +87,7 @@ func Fig1(s *workload.Suite, functionLevel bool) (*Fig1Result, error) {
 				if u.fn != "" && f.Name != u.fn {
 					continue
 				}
-				cr, err := core.Compile(f, core.Options{File: file, Method: core.MethodNon, Cache: cache, VerifyEach: VerifyEach, Validate: Validate})
+				cr, err := core.Compile(f, core.Options{File: file, Method: core.MethodNon, Cache: cache})
 				if err != nil {
 					return nil, err
 				}
