@@ -78,6 +78,37 @@ func TestStreamBrokenBackendAborts(t *testing.T) {
 	}
 }
 
+// TestRouterBatchBrokenBackendDemoted: a backend that breaks off its
+// answer to a sub-batch fails the sub-batch's entries as upstream and is
+// demoted, as on a compile.
+func TestRouterBatchBrokenBackendDemoted(t *testing.T) {
+	const size = 256 << 10
+	r, url, done := streamFleet(t, func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(size))
+		w.Write(bytes.Repeat([]byte{' '}, size/2))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	})
+	body, _ := json.Marshal(server.BatchRequest{Entries: []server.CompileRequest{{MIR: kernelMIR}}})
+	resp, err := http.Post(url+"/v1/compile/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br server.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if len(br.Results) != 1 || br.Results[0].Error == nil || br.Results[0].Error.Code != "upstream" {
+		t.Errorf("results %+v, want one upstream error", br.Results)
+	}
+	if b := r.Statz().Backends[0]; b.State != "down" || b.Failures != 1 {
+		t.Errorf("backend %s with %d failures, want down with 1", b.State, b.Failures)
+	}
+}
+
 // TestStreamClientHangupKeepsBackend: a client that closes mid-body ends
 // the stream, and the backend, which did nothing wrong, stays healthy. The
 // router learns of the hang-up from a failed write to the client when the
