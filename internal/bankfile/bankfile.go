@@ -11,10 +11,7 @@
 // FindAllRegistersConforming).
 package bankfile
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Config describes one register-file configuration of the FP class.
 type Config struct {
@@ -100,41 +97,21 @@ func (c Config) Conforms(r, bank, subgroup int) bool {
 	return subgroup < 0 || c.Subgroup(r) == subgroup
 }
 
-// confCache memoizes RegsConforming/RegsInBank results process-wide: the
-// answer is a pure function of the (comparable) Config and the query, the
-// distinct query count is tiny (configs × banks × subgroups), and the
-// allocator asks for the same conformance lists once per interval — the
-// hottest allocation site of an uncached compile before memoization.
-// Cached slices are shared across callers and goroutines: READ ONLY.
-var confCache sync.Map // confKey -> []int
-
-type confKey struct {
-	cfg            Config
-	bank, subgroup int
-}
-
 // RegsInBank returns the physical register indexes belonging to bank, in
-// increasing order. The slice is memoized and shared: callers must not
-// modify it.
+// increasing order.
 func (c Config) RegsInBank(bank int) []int { return c.RegsConforming(bank, -1) }
 
 // RegsConforming returns the register indexes in the given bank and
 // subgroup, in increasing order (Algorithm 2's FindAllRegistersConforming).
-// subgroup < 0 matches any subgroup. The slice is memoized and shared:
-// callers must not modify it.
+// subgroup < 0 matches any subgroup.
 func (c Config) RegsConforming(bank, subgroup int) []int {
-	key := confKey{c, bank, subgroup}
-	if v, ok := confCache.Load(key); ok {
-		return v.([]int)
-	}
 	var out []int
 	for r := 0; r < c.NumRegs; r++ {
 		if c.Conforms(r, bank, subgroup) {
 			out = append(out, r)
 		}
 	}
-	v, _ := confCache.LoadOrStore(key, out)
-	return v.([]int)
+	return out
 }
 
 // RegsPerBank returns the number of registers in each bank.

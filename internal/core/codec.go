@@ -40,8 +40,9 @@ import (
 // codecMagic tags an encoded Result; the last byte is the format version.
 // Any mismatch decodes as an error (the disk cache treats it as a miss and
 // drops the entry), so the version byte is the only migration story the
-// format needs. Version 3 added Result.Method.
-var codecMagic = [4]byte{'P', 'C', 'R', 3}
+// format needs. Version 3 added Result.Method; version 4 dropped the
+// allocator's per-register placement map, which no answer reads.
+var codecMagic = [4]byte{'P', 'C', 'R', 4}
 
 // EncodeResult serializes res. The encoding is deterministic: identical
 // results produce identical bytes. Results carrying the allocator's
@@ -119,23 +120,7 @@ func appendAlloc(buf []byte, a *regalloc.Result) []byte {
 		bailed = 1
 	}
 	buf = appendInts(buf, bailed)
-	buf = appendRegIntMap(buf, a.AssignedPhys)
 	buf = appendIntIntMap(buf, a.GroupDispl)
-	return buf
-}
-
-// appendRegIntMap emits a map[ir.Reg]int in ascending key order.
-func appendRegIntMap(buf []byte, m map[ir.Reg]int) []byte {
-	keys := make([]ir.Reg, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(k))
-		buf = binary.AppendVarint(buf, int64(m[k]))
-	}
 	return buf
 }
 
@@ -426,13 +411,6 @@ func (d *decoder) decodeAlloc() *regalloc.Result {
 		Rescues:      d.int(),
 	}
 	a.ColoringBailed = d.int() != 0
-	if n := d.count("assigned-phys"); d.err == nil && n > 0 {
-		a.AssignedPhys = make(map[ir.Reg]int, n)
-		for i := 0; i < n; i++ {
-			k := ir.Reg(d.uvarint())
-			a.AssignedPhys[k] = d.int()
-		}
-	}
 	if n := d.count("group-displ"); d.err == nil && n > 0 {
 		a.GroupDispl = make(map[int]int, n)
 		for i := 0; i < n; i++ {

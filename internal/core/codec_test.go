@@ -60,12 +60,6 @@ func assertResultsEqual(t *testing.T, want, got *Result, label string) {
 		t.Fatalf("%s: reports diverged: %+v vs %+v", label, want.Report, got.Report)
 	}
 	wa, ga := *want.Alloc, *got.Alloc
-	if len(wa.AssignedPhys) == 0 {
-		wa.AssignedPhys = nil
-	}
-	if len(ga.AssignedPhys) == 0 {
-		ga.AssignedPhys = nil
-	}
 	if len(wa.GroupDispl) == 0 {
 		wa.GroupDispl = nil
 	}
@@ -270,8 +264,8 @@ func TestCodecRejectsPortfolioMethod(t *testing.T) {
 	}
 }
 
-// TestCodecDeterministic pins that the map sections (AssignedPhys,
-// GroupDispl) do not leak map iteration order into the encoding.
+// TestCodecDeterministic pins that the map section (GroupDispl) does not
+// leak map iteration order into the encoding.
 func TestCodecDeterministic(t *testing.T) {
 	f := workload.RandomSized(7, 300)
 	opts := Options{File: bankfile.Config{NumRegs: 32, NumBanks: 4}, Method: MethodBPC}
@@ -386,6 +380,7 @@ func FuzzDecodeResult(fz *testing.F) {
 	fz.Add([]byte("PCR\x01"))
 	fz.Add([]byte("PCR\x02"))
 	fz.Add([]byte("PCR\x03"))
+	fz.Add([]byte("PCR\x04"))
 	fz.Add([]byte{})
 	fz.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data)

@@ -22,7 +22,9 @@ import (
 // Parsing is one forward pass over the source: lines and operands are
 // substrings of src, opcodes resolve through a table, and the function's
 // instructions and operand lists are cut from a few slabs sized from the
-// line count instead of allocated one by one.
+// line count instead of allocated one by one. The function name and block
+// labels are copied out of src, so the function does not keep the source
+// alive.
 func Parse(src string) (*Func, error) {
 	p := parser{rest: src}
 	f, err := p.parseFunc()
@@ -45,7 +47,7 @@ func ParseModule(src string) (*Module, error) {
 		for _, l := range lines {
 			t := strings.TrimSpace(l)
 			if strings.HasPrefix(t, "module ") {
-				name = strings.TrimSpace(strings.TrimPrefix(t, "module "))
+				name = strings.Clone(strings.TrimSpace(strings.TrimPrefix(t, "module ")))
 				continue
 			}
 			body = append(body, l)
@@ -152,7 +154,7 @@ func (p *parser) parseFunc() (*Func, error) {
 		return nil, fmt.Errorf("expected 'func @name {', got %q", head)
 	}
 	name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(head, "func @"), "{"))
-	p.f = NewFunc(name)
+	p.f = NewFunc(strings.Clone(name))
 	p.blocks = make(map[string]*Block)
 	p.allocSlabs()
 
@@ -236,7 +238,7 @@ func (p *parser) allocSlabs() {
 func (p *parser) openBlock(name string) *Block {
 	b, ok := p.blocks[name]
 	if !ok {
-		b = p.f.NewBlock(name)
+		b = p.f.NewBlock(strings.Clone(name))
 		p.blocks[name] = b
 		p.succs = append(p.succs, pendingSuccs{})
 	}

@@ -92,7 +92,7 @@ func newFrame(f *ir.Func, opts Options, withRCG bool) (*frame, error) {
 // reset forgets every placement, mark and statistic; the analyses and the
 // reserved scratch registers stay.
 func (fr *frame) reset() {
-	fr.res = &Result{AssignedPhys: map[ir.Reg]int{}, GroupDispl: map[int]int{}}
+	fr.res = &Result{GroupDispl: map[int]int{}}
 	fr.pieces.reset(len(fr.f.VRegs))
 	fr.slot.reset(len(fr.f.VRegs))
 	fr.nslots = 0
@@ -271,14 +271,9 @@ func (fr *frame) pieceAt(r ir.Reg, slot int) *piece {
 	return nil
 }
 
-// finish fills AssignedPhys with each FP register's first piece, records
-// the allocation under opts.Record, rewrites f and verifies it.
+// finish records the allocation under opts.Record, rewrites f and
+// verifies it.
 func (fr *frame) finish() (*Result, error) {
-	for idx, info := range fr.f.VRegs {
-		if ps := fr.pieces.get(ir.VReg(idx)); len(ps) > 0 && info.Class == ir.ClassFP {
-			fr.res.AssignedPhys[ir.VReg(idx)] = ps[0].phys
-		}
-	}
 	if fr.opts.Record {
 		fr.record()
 	}

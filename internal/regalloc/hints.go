@@ -2,11 +2,9 @@ package regalloc
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 
 	"prescount/internal/ir"
-	"prescount/internal/scratch"
 )
 
 // allocOrderCache memoizes the FP allocation orders per file size.
@@ -104,27 +102,51 @@ func (a *allocator) bpcCandidates(r ir.Reg) (cands []int, whole bool) {
 	if hint == 0 {
 		return allocOrder(cfg.NumRegs), true
 	}
-	bank := int(hint) - 1
+	a.candBank = int(hint) - 1
 	displ := -1
 	if cfg.HasSubgroups() {
 		displ = a.subgroupDispl(r)
 	}
-	a.candSeen = scratch.Zeroed(a.candSeen, cfg.NumRegs)
-	a.candOut = a.candOut[:0]
-	if displ >= 0 {
-		a.addCandidates(cfg.RegsConforming(bank, displ))
-	}
-	a.addCandidates(cfg.RegsConforming(bank, -1))
-	return a.candOut, false
+	a.candHead = a.bpcHead(a.candBank, displ)
+	return a.candHead, false
 }
 
-// bpcTail completes the list the last bpcCandidates(r) call started.
+// bpcHead returns groups 1 and 2 of bpcCandidates for a bank and subgroup
+// displacement (-1: none). A head is built on its first use in a run and
+// shared by every later one: callers must not modify it.
+func (a *allocator) bpcHead(bank, displ int) []int {
+	cfg := a.opts.Cfg
+	i := bank*(cfg.NumSubgroups+1) + displ + 1
+	if a.bpcHeads[i] == nil {
+		var h []int
+		if displ >= 0 {
+			h = cfg.RegsConforming(bank, displ)
+		}
+		for _, p := range cfg.RegsInBank(bank) {
+			if displ < 0 || cfg.Subgroup(p) != displ {
+				h = append(h, p)
+			}
+		}
+		a.bpcHeads[i] = h
+	}
+	return a.bpcHeads[i]
+}
+
+// bpcTail completes the list the last bpcCandidates(r) call started: its
+// head, which is the whole bank, then the other banks' registers.
 // Rather than a blind order, the fallback outside the assigned bank reuses
 // the per-instruction avoidance of the bcr heuristic, so a broken bank
 // assignment still dodges the hottest conflict partner.
 func (a *allocator) bpcTail(r ir.Reg) []int {
-	a.addCandidates(a.bcrCandidates(a.hintSource(r)))
-	return a.candOut
+	cfg := a.opts.Cfg
+	out := append(a.candOut[:0], a.candHead...)
+	for _, p := range a.bcrCandidates(a.hintSource(r)) {
+		if cfg.Bank(p) != a.candBank {
+			out = append(out, p)
+		}
+	}
+	a.candOut = out
+	return out
 }
 
 // hintSource resolves an allocator-created register (spill pseudo or split
@@ -135,16 +157,6 @@ func (a *allocator) hintSource(r ir.Reg) ir.Reg {
 		return parent
 	}
 	return r
-}
-
-// addCandidates appends the registers of regs not yet in the list.
-func (a *allocator) addCandidates(regs []int) {
-	for _, p := range regs {
-		if !a.candSeen[p] {
-			a.candSeen[p] = true
-			a.candOut = append(a.candOut, p)
-		}
-	}
 }
 
 // subgroupDispl implements Algorithm 2's displacement bookkeeping: the
@@ -260,14 +272,4 @@ func (a *allocator) hottestConflictSite(r ir.Reg) *ir.Instr {
 		}
 	}
 	return a.conflictSite.get(r)
-}
-
-// banksSorted returns bank indexes ordered ascending (helper for tests).
-func banksSorted(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	sort.Ints(out)
-	return out
 }

@@ -144,13 +144,6 @@ type Result struct {
 	// BankBreaks counts FP intervals that could not be placed in their
 	// PresCount-assigned bank.
 	BankBreaks int
-	// AssignedPhys maps original FP vregs to the physical FP register they
-	// landed in (the bank is Cfg.Bank of that index). Storing the physical
-	// index rather than the bank keeps the Result bank-oblivious for
-	// methods whose allocation never reads the bank count (non, and brc's
-	// allocation phase), which is what lets the compile cache share one
-	// allocation across every bank point of a sweep.
-	AssignedPhys map[ir.Reg]int
 	// GroupDispl maps SDG group id to its chosen subgroup displacement.
 	GroupDispl map[int]int
 	// Rescues counts evicted interval remainders the binpacking allocator
@@ -313,26 +306,27 @@ type allocator struct {
 	// allocation-free.
 	vsScratch, bestVictims []ir.Reg
 
-	// Candidate-building scratch (hints.go). bpcCandidates nests a
-	// bcrCandidates call, so the two get distinct buffers; calleeBuf and
-	// callerBuf serve assignOne's CSR-aware reordering.
-	candSeen             []bool
-	candOut              []int
+	// Candidate-building scratch (hints.go). bpcHeads holds bpc's head
+	// per (bank, subgroup displacement); candHead and candBank are the
+	// last bpcCandidates call's, which bpcTail extends in candOut. bpcTail
+	// nests a bcrCandidates call, so the two get distinct buffers;
+	// calleeBuf and callerBuf serve assignOne's CSR-aware reordering.
+	bpcHeads             [][]int
+	candHead, candOut    []int
+	candBank             int
 	bcrAvoid             []bool
 	bcrGood, bcrBad      []int
 	calleeBuf, callerBuf []int
+	// instrBuf is materialize's block-list buffer.
+	instrBuf []*ir.Instr
 
-	// callSlots and clobber are the fixed-clobber scratch: every
-	// caller-saved register of both classes shares the one clobber
-	// interval (their contents are identical by construction).
-	callSlots []int
-	clobber   liveness.Interval
-
-	// fixedFP and fixedGPR hold per-physical-register clobber intervals
-	// from call sites: caller-saved registers are unavailable to any
+	// clobber has one slot per call site. clobberFP and clobberGPR point
+	// to it for a class with caller-saved registers, and are nil when the
+	// function has no call: caller-saved registers are unavailable to any
 	// interval that spans a call, forcing long-lived values into the
 	// callee-saved subset or onto the stack.
-	fixedFP, fixedGPR []*liveness.Interval
+	clobber               liveness.Interval
+	clobberFP, clobberGPR *liveness.Interval
 
 	queue *workQueue
 }
@@ -385,6 +379,7 @@ func (a *allocator) init(ctx context.Context, f *ir.Func, opts Options) {
 		}
 	}
 	a.usage = scratch.Zeroed(a.usage, opts.Cfg.NumSubgroups)
+	a.bpcHeads = scratch.Zeroed(a.bpcHeads, opts.Cfg.NumBanks*(opts.Cfg.NumSubgroups+1))
 	if cap(a.fpUnions) < opts.Cfg.NumRegs {
 		a.fpUnions = make([]liveness.Union, opts.Cfg.NumRegs)
 	} else {
@@ -491,14 +486,6 @@ func (a *allocator) run() error {
 	}
 	a.queue.release()
 	a.queue = nil
-	a.res.AssignedPhys = make(map[ir.Reg]int, len(a.f.VRegs))
-	for idx, info := range a.f.VRegs {
-		if r := ir.VReg(idx); info.Class == ir.ClassFP {
-			if p, ok := a.physIndex(r); ok {
-				a.res.AssignedPhys[r] = p
-			}
-		}
-	}
 	if a.opts.Record {
 		record(a.res, a.f, a.lv, a.physIndex, a.intervalOf, func(r ir.Reg) (int, bool) {
 			s := a.spillSlot.get(r)
@@ -513,38 +500,31 @@ func (a *allocator) run() error {
 	return a.f.Verify()
 }
 
-// buildFixedClobbers records, for every caller-saved physical register, a
-// clobber interval with one slot per call site. The contents are identical
-// for every such register of both classes, and nothing ever mutates or
-// inserts them into a union, so they all share the allocator's single
-// reusable clobber interval.
+// buildFixedClobbers records the clobber interval of each class's
+// caller-saved registers, with one slot per call site. The contents are
+// identical for every such register of both classes, and nothing ever
+// mutates or inserts them into a union, so they all share the allocator's
+// single reusable clobber interval.
 func (a *allocator) buildFixedClobbers() {
-	a.fixedFP = scratch.Zeroed(a.fixedFP, a.opts.Cfg.NumRegs)
-	a.fixedGPR = scratch.Zeroed(a.fixedGPR, numGPRFile)
-	a.callSlots = a.callSlots[:0]
+	a.clobberFP, a.clobberGPR = nil, nil
+	iv := &a.clobber
 	for _, b := range a.f.Blocks {
 		for i, in := range b.Instrs {
 			if in.Op == ir.OpCall {
-				a.callSlots = append(a.callSlots, a.lv.ReadSlot(b, i))
+				s := a.lv.ReadSlot(b, i)
+				iv.Add(s, s+1)
 			}
 		}
 	}
-	if len(a.callSlots) == 0 {
+	if iv.Empty() {
 		return
 	}
-	iv := &a.clobber
-	for _, s := range a.callSlots {
-		iv.Add(s, s+1)
+	// Caller-saved registers are the low indexes of each file.
+	if ir.CallerSavedFPR(0, a.opts.Cfg.NumRegs) {
+		a.clobberFP = iv
 	}
-	for p := 0; p < a.opts.Cfg.NumRegs; p++ {
-		if ir.CallerSavedFPR(p, a.opts.Cfg.NumRegs) {
-			a.fixedFP[p] = iv
-		}
-	}
-	for p := 0; p < numGPRFile; p++ {
-		if ir.CallerSavedGPR(p) {
-			a.fixedGPR[p] = iv
-		}
+	if ir.CallerSavedGPR(0) {
+		a.clobberGPR = iv
 	}
 }
 
@@ -552,25 +532,22 @@ func (a *allocator) buildFixedClobbers() {
 // register is callee-saved or there are no calls).
 func (a *allocator) fixedOf(c ir.Class, p int) *liveness.Interval {
 	if c == ir.ClassFP {
-		return a.fixedFP[p]
+		if ir.CallerSavedFPR(p, a.opts.Cfg.NumRegs) {
+			return a.clobberFP
+		}
+	} else if ir.CallerSavedGPR(p) {
+		return a.clobberGPR
 	}
-	return a.fixedGPR[p]
+	return nil
 }
 
 // spansCall reports whether the interval overlaps any call-site clobber.
 func (a *allocator) spansCall(c ir.Class, iv *liveness.Interval) bool {
-	// Every caller-saved register carries the same clobber interval; probe
-	// the first one of the class.
-	fixed := a.fixedFP
+	clobber := a.clobberFP
 	if c == ir.ClassGPR {
-		fixed = a.fixedGPR
+		clobber = a.clobberGPR
 	}
-	for _, fx := range fixed {
-		if fx != nil {
-			return fx.Overlaps(iv)
-		}
-	}
-	return false
+	return clobber != nil && clobber.Overlaps(iv)
 }
 
 func (a *allocator) classOf(r ir.Reg) ir.Class { return a.f.VRegs[r.VirtIndex()].Class }

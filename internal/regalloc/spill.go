@@ -171,12 +171,15 @@ func (a *allocator) newPseudo(c ir.Class, start, end int) ir.Reg {
 }
 
 // materialize rewrites the function onto physical registers and inserts the
-// planned spill code.
+// planned spill code. The new block lists are built in a reused buffer and
+// then stored in one slab of their exact total length: a cached function
+// keeps its lists for the life of the entry.
 func (a *allocator) materialize() {
 	cfg := a.opts.Cfg
 
+	out := a.instrBuf[:0]
 	for _, b := range a.f.Blocks {
-		out := make([]*ir.Instr, 0, len(b.Instrs))
+		start := len(out)
 		for i, in := range b.Instrs {
 			slot := a.lv.ReadSlot(b, i)
 			// Reloads (or rematerializations) for spilled uses: one per
@@ -250,8 +253,22 @@ func (a *allocator) materialize() {
 				a.res.SpillStores++
 			}
 		}
-		b.Instrs = out
+		// Capped, so the split copies below reallocate instead of
+		// overwriting the next block.
+		b.Instrs = out[start:len(out):len(out)]
 	}
+	a.instrBuf = out
 	a.materializeSplits()
+	n := 0
+	for _, b := range a.f.Blocks {
+		n += len(b.Instrs)
+	}
+	slab := make([]*ir.Instr, 0, n)
+	for _, b := range a.f.Blocks {
+		start := len(slab)
+		slab = append(slab, b.Instrs...)
+		b.Instrs = slab[start:len(slab):len(slab)]
+	}
+	clear(a.instrBuf[:cap(a.instrBuf)])
 	a.f.NumFPRegs = cfg.NumRegs
 }
