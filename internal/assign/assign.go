@@ -54,6 +54,17 @@ type Options struct {
 // assignment. lv supplies live intervals for pressure tracking; cfg the
 // register file shape.
 func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config, opts Options) *Result {
+	return presCount(f, g, lv, cfg, opts, visitWorklist)
+}
+
+// visitFunc calls color once per RCG node, in Algorithm 1's processing
+// order. bankOf is the assigner's dense table (per VirtIndex, 1 + the
+// node's bank, 0 while uncolored); color fills v's entry.
+type visitFunc func(g *rcg.Graph, bankOf []int32, color func(v ir.Reg))
+
+// presCount is PresCount with the processing order supplied by visit, so
+// the tests can run the same coloring step in the reference order.
+func presCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config, opts Options, visit visitFunc) *Result {
 	thres := opts.THRES
 	if thres == 0 {
 		thres = DefaultTHRES
@@ -63,12 +74,12 @@ func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config,
 	// register (0: not colored yet); Result.BankOf is filled from it once,
 	// after the last component.
 	bankOf := make([]int32, len(f.VRegs))
-	tracker := pressure.NewTracker(cfg)
+	tracker := pressure.NewTracker(cfg, lv.NumSlots())
 	// A second tracker follows only intervals that live across a call:
 	// those can only realize their bank in the (small) callee-saved subset,
 	// so their pressure must be balanced separately or the allocator will
 	// be forced to break the assignment (CSR-aware bank pressure).
-	crossTracker := pressure.NewTracker(cfg)
+	crossTracker := pressure.NewTracker(cfg, lv.NumSlots())
 	callSlots := callSites(f, lv)
 	crosses := func(iv *liveness.Interval) bool {
 		if iv == nil {
@@ -134,57 +145,25 @@ func PresCount(f *ir.Func, g *rcg.Graph, lv *liveness.Info, cfg bankfile.Config,
 		return tracker.BestBank(candidates, iv)
 	}
 
-	// Process disjoint subgraphs in descending max-cost order. The
-	// unprocessed/worklist sets are dense bitsets with explicit counters,
-	// reused across components; both argmax selections order by a strict
-	// total key, so the switch from map iteration changes nothing.
-	var unprocessed, worklist ir.RegSet
 	usedBuf := make([]bool, cfg.NumBanks)
 	availBuf := make([]int, 0, cfg.NumBanks)
 	costBuf := make([]float64, cfg.NumBanks)
-	for _, comp := range g.Components() {
-		unprocessed.Clear()
-		for _, r := range comp {
-			unprocessed.Add(r)
+	visit(g, bankOf, func(v ir.Reg) {
+		availBuf = availableBanks(g, bankOf, v, cfg.NumBanks, usedBuf, availBuf)
+		var bank int
+		switch {
+		case len(availBuf) > 0:
+			bank = pick(availBuf, lv.IntervalOf(v))
+		case regPressure > thres:
+			bank = pick(allBanks, lv.IntervalOf(v))
+			res.Forced = append(res.Forced, v)
+		default:
+			bank = neighbourCostBest(g, bankOf, v, allBanks, costBuf)
+			res.Forced = append(res.Forced, v)
 		}
-		nUnproc := len(comp)
-		for nUnproc > 0 {
-			seed := maxConflictCost(g, &unprocessed)
-			worklist.Clear()
-			worklist.Add(seed)
-			nWork := 1
-			for nWork > 0 {
-				v := maxCostDegree(g, &worklist)
-				worklist.Remove(v)
-				nWork--
-				if unprocessed.Has(v) {
-					unprocessed.Remove(v)
-					nUnproc--
-				}
-
-				availBuf = availableBanks(g, bankOf, v, cfg.NumBanks, usedBuf, availBuf)
-				var bank int
-				switch {
-				case len(availBuf) > 0:
-					bank = pick(availBuf, lv.IntervalOf(v))
-				case regPressure > thres:
-					bank = pick(allBanks, lv.IntervalOf(v))
-					res.Forced = append(res.Forced, v)
-				default:
-					bank = neighbourCostBest(g, bankOf, v, allBanks, costBuf)
-					res.Forced = append(res.Forced, v)
-				}
-				bankOf[v.VirtIndex()] = int32(bank) + 1
-				commit(bank, lv.IntervalOf(v))
-				for _, n := range g.Neighbors(v) {
-					if bankOf[n.VirtIndex()] == 0 && unprocessed.Has(n) && !worklist.Has(n) {
-						worklist.Add(n)
-						nWork++
-					}
-				}
-			}
-		}
-	}
+		bankOf[v.VirtIndex()] = int32(bank) + 1
+		commit(bank, lv.IntervalOf(v))
+	})
 
 	res.BankOf = make(map[ir.Reg]int, len(g.Nodes))
 	for _, r := range g.Nodes {
@@ -228,39 +207,96 @@ func callSites(f *ir.Func, lv *liveness.Info) []int {
 	return out
 }
 
-// maxConflictCost returns the register with the largest Cost_R among the
-// set, breaking ties by smaller register for determinism.
-func maxConflictCost(g *rcg.Graph, set *ir.RegSet) ir.Reg {
-	var best ir.Reg
-	bestCost := -1.0
-	first := true
-	set.ForEach(func(r ir.Reg) {
-		c := g.Cost(r)
-		if first || c > bestCost || (c == bestCost && r < best) {
-			best, bestCost, first = r, c, false
+// visitWorklist is Algorithm 1's processing order. Components go in
+// descending max-cost order. A component is connected and the worklist
+// takes in every uncolored neighbour of each node it colors, so one seed
+// per component, its maximum-Cost_R node (ties to the smaller register),
+// reaches all of it. The worklist is a heap under MaxCostDegree's strict
+// total key, so its head is the node a scan of the list would pick;
+// queued holds one byte per register for "entered the worklist".
+func visitWorklist(g *rcg.Graph, bankOf []int32, color func(v ir.Reg)) {
+	queued := make([]bool, len(bankOf))
+	var work workHeap
+	for _, comp := range g.Components() {
+		seed := comp[0]
+		for _, r := range comp[1:] {
+			if g.Cost(r) > g.Cost(seed) {
+				seed = r
+			}
 		}
-	})
-	return best
+		work.push(g, seed)
+		queued[seed.VirtIndex()] = true
+		for len(work) > 0 {
+			v := work.pop().r
+			color(v)
+			for _, n := range g.Neighbors(v) {
+				if i := n.VirtIndex(); bankOf[i] == 0 && !queued[i] {
+					work.push(g, n)
+					queued[i] = true
+				}
+			}
+		}
+	}
 }
 
-// maxCostDegree returns the worklist entry with the highest conflict cost,
-// then highest degree, then smallest register (Algorithm 1's
-// MaxCostDegree).
-func maxCostDegree(g *rcg.Graph, set *ir.RegSet) ir.Reg {
-	var best ir.Reg
-	bestCost := -1.0
-	bestDeg := -1
-	first := true
-	set.ForEach(func(r ir.Reg) {
-		c, d := g.Cost(r), g.Degree(r)
-		better := first || c > bestCost ||
-			(c == bestCost && d > bestDeg) ||
-			(c == bestCost && d == bestDeg && r < best)
-		if better {
-			best, bestCost, bestDeg, first = r, c, d, false
+// workEntry is one worklist entry: a register with its MaxCostDegree key.
+type workEntry struct {
+	cost float64
+	deg  int32
+	r    ir.Reg
+}
+
+// workHeap is Algorithm 1's worklist: a binary heap whose head is the
+// entry with the highest conflict cost, then the highest degree, then the
+// smallest register (MaxCostDegree).
+type workHeap []workEntry
+
+func (h workHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.cost != b.cost {
+		return a.cost > b.cost
+	}
+	if a.deg != b.deg {
+		return a.deg > b.deg
+	}
+	return a.r < b.r
+}
+
+func (h *workHeap) push(g *rcg.Graph, r ir.Reg) {
+	*h = append(*h, workEntry{g.Cost(r), int32(g.Degree(r)), r})
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
 		}
-	})
-	return best
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *workHeap) pop() workEntry {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }
 
 // availableBanks returns ALLCOLORS minus the banks of v's colored

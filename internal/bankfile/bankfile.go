@@ -103,11 +103,32 @@ func (c Config) RegsInBank(bank int) []int { return c.RegsConforming(bank, -1) }
 
 // RegsConforming returns the register indexes in the given bank and
 // subgroup, in increasing order (Algorithm 2's FindAllRegistersConforming).
-// subgroup < 0 matches any subgroup.
+// subgroup < 0 matches any subgroup. Bank b's subgroup s holds the
+// registers k·B·S + b·S + s, so the list is counted from the file shape,
+// allocated once and filled by stride. A file without a positive bank and
+// subgroup count has no conforming registers: nil.
 func (c Config) RegsConforming(bank, subgroup int) []int {
-	var out []int
-	for r := 0; r < c.NumRegs; r++ {
-		if c.Conforms(r, bank, subgroup) {
+	sg := c.NumSubgroups
+	if c.NumBanks <= 0 || sg <= 0 || bank < 0 || bank >= c.NumBanks || subgroup >= sg {
+		return nil
+	}
+	lo, hi := 0, sg // the subgroups matched
+	if subgroup >= 0 {
+		lo, hi = subgroup, subgroup+1
+	}
+	period, first := c.NumBanks*sg, bank*sg
+	n := 0
+	for s := lo; s < hi; s++ {
+		if r := first + s; r < c.NumRegs {
+			n += (c.NumRegs-1-r)/period + 1
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for base := first; base < c.NumRegs; base += period {
+		for r := base + lo; r < base+hi && r < c.NumRegs; r++ {
 			out = append(out, r)
 		}
 	}

@@ -1,6 +1,7 @@
 package bankfile
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,52 @@ func TestRegsConforming(t *testing.T) {
 	all := c.RegsConforming(0, -1)
 	if len(all) != c.RegsPerBank() {
 		t.Errorf("wildcard conforming = %d, want %d", len(all), c.RegsPerBank())
+	}
+}
+
+// conformingByFilter is RegsConforming as the Conforms filter states it.
+func conformingByFilter(c Config, bank, subgroup int) []int {
+	var out []int
+	for r := 0; r < c.NumRegs; r++ {
+		if c.Conforms(r, bank, subgroup) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestRegsConformingMatchesConforms compares the strided list with the
+// Conforms filter for every file shape up to 64 registers (multiple of
+// banks × subgroups or not) and for RV1(4) and DSA(1024), over every bank
+// and subgroup plus out-of-range ones; a file without banks or subgroups
+// has no list. RV1(4)'s list is allocated once.
+func TestRegsConformingMatchesConforms(t *testing.T) {
+	files := []Config{RV1(4), DSA(1024)}
+	for regs := 0; regs <= 64; regs++ {
+		for banks := 1; banks <= 8; banks++ {
+			for subs := 1; subs <= 4; subs++ {
+				files = append(files, Config{NumRegs: regs, NumBanks: banks, NumSubgroups: subs, ReadPorts: 1})
+			}
+		}
+	}
+	for _, c := range files {
+		for bank := -1; bank <= c.NumBanks; bank++ {
+			for sub := -1; sub <= c.NumSubgroups; sub++ {
+				got, want := c.RegsConforming(bank, sub), conformingByFilter(c, bank, sub)
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("%d regs %v: RegsConforming(%d, %d) = %v, Conforms filter %v", c.NumRegs, c, bank, sub, got, want)
+				}
+			}
+		}
+	}
+	for _, c := range []Config{{NumRegs: 32, NumBanks: 0, NumSubgroups: 1}, {NumRegs: 32, NumBanks: 2, NumSubgroups: 0}} {
+		if got := c.RegsConforming(0, -1); got != nil {
+			t.Errorf("%+v: RegsConforming = %v, want nil", c, got)
+		}
+	}
+	rv1 := RV1(4)
+	if got := testing.AllocsPerRun(20, func() { _ = rv1.RegsConforming(1, -1) }); got != 1 {
+		t.Errorf("RV1(4) RegsConforming made %v allocations, want 1", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"slices"
 	"sort"
 
 	"prescount/internal/cfg"
@@ -348,16 +349,21 @@ func (lv *Info) Interfere(a, b ir.Reg) bool {
 
 // MaxPressure returns the maximum number of simultaneously live virtual
 // registers of class c anywhere in the function: the input to the
-// OverallRegPressure() test of Algorithm 1.
+// OverallRegPressure() test of Algorithm 1. It is the peak of
+// PressureCurve — one pass over the segments, one over the slots, no sort;
+// MaxOverlap over the class's intervals is its test reference.
 func (lv *Info) MaxPressure(c ir.Class) int {
-	return MaxOverlap(lv.classIntervals(c))
+	return slices.Max(lv.PressureCurve(c))
 }
 
 // PressureCurve returns, for each slot, the number of simultaneously live
 // class-c virtual registers.
 func (lv *Info) PressureCurve(c ir.Class) []int {
 	curve := make([]int, lv.NumSlots()+1)
-	for _, iv := range lv.classIntervals(c) {
+	for i, iv := range lv.Intervals {
+		if iv == nil || lv.F.VRegs[i].Class != c {
+			continue
+		}
 		for _, s := range iv.Segments {
 			curve[s.Start]++
 			if s.End < len(curve) {
@@ -371,19 +377,6 @@ func (lv *Info) PressureCurve(c ir.Class) []int {
 		curve[i] = run
 	}
 	return curve
-}
-
-func (lv *Info) classIntervals(c ir.Class) []*Interval {
-	var ivs []*Interval
-	for i, iv := range lv.Intervals {
-		if iv == nil || iv.Empty() {
-			continue
-		}
-		if lv.F.VRegs[i].Class == c {
-			ivs = append(ivs, iv)
-		}
-	}
-	return ivs
 }
 
 // MaxOverlap computes the maximum number of intervals simultaneously live at

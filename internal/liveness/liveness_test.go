@@ -8,6 +8,7 @@ import (
 
 	"prescount/internal/cfg"
 	"prescount/internal/ir"
+	"prescount/internal/workload"
 )
 
 func TestIntervalAddMergesSegments(t *testing.T) {
@@ -296,6 +297,42 @@ func TestMaxPressure(t *testing.T) {
 	}
 	if max != 5 {
 		t.Errorf("PressureCurve max = %d, want 5", max)
+	}
+}
+
+// classIntervals returns the non-empty live intervals of class-c vregs:
+// the input MaxOverlap reduces to a function's MaxPressure.
+func (lv *Info) classIntervals(c ir.Class) []*Interval {
+	var ivs []*Interval
+	for i, iv := range lv.Intervals {
+		if iv != nil && !iv.Empty() && lv.F.VRegs[i].Class == c {
+			ivs = append(ivs, iv)
+		}
+	}
+	return ivs
+}
+
+// TestMaxPressureMatchesMaxOverlap checks the one-pass MaxPressure against
+// its sorted-sweep reference, MaxOverlap over the class's intervals, for
+// both classes of every SPECfp, CNN-KERNEL and DSA-OP function and of
+// RandomSized kernels at three sizes.
+func TestMaxPressureMatchesMaxOverlap(t *testing.T) {
+	var funcs []*ir.Func
+	for _, s := range []*workload.Suite{workload.SPECfp(), workload.CNN(), workload.DSAOP()} {
+		for _, p := range s.Programs {
+			funcs = append(funcs, p.Funcs()...)
+		}
+	}
+	for _, n := range []int{64, 512, 4096} {
+		funcs = append(funcs, workload.RandomSized(11, n))
+	}
+	for _, f := range funcs {
+		lv, _ := compute(t, f)
+		for _, c := range []ir.Class{ir.ClassFP, ir.ClassGPR} {
+			if got, want := lv.MaxPressure(c), MaxOverlap(lv.classIntervals(c)); got != want {
+				t.Errorf("%s class %v: MaxPressure = %d, MaxOverlap = %d", f.Name, c, got, want)
+			}
+		}
 	}
 }
 

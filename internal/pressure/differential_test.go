@@ -23,31 +23,30 @@ func randInterval(rng *rand.Rand, maxSegs, span int) *liveness.Interval {
 // TestTrackerMatchesNaiveRandomized drives the tree-backed Tracker and the
 // NaiveTracker through the same randomized workload — over 1000 committed
 // intervals per seed — and asserts they agree on every Pressure,
-// PressureIfAdded, Count, RankBanks and BestBank query along the way.
+// PressureIfAdded and Count query along the way, and that BestBank is the
+// head of the naive ranking.
 func TestTrackerMatchesNaiveRandomized(t *testing.T) {
 	cfg := bankfile.RV1(4)
 	allBanks := []int{0, 1, 2, 3}
+	spans := []int{40, 400, 6000}
+	// randInterval ends a segment at most span + span/8: the widest span's
+	// bound is the slot count every tree is sized to.
+	slots := spans[2] + spans[2]/8
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tree := pressure.NewTracker(cfg)
+		tree := pressure.NewTracker(cfg, slots)
 		naive := pressure.NewNaiveTracker(cfg)
 		for n := 0; n < 1100; n++ {
-			// Vary the coordinate span so some seeds stress tree regrowth
-			// and others stress dense stacking.
-			span := []int{40, 400, 6000}[n%3]
+			// Vary the coordinate span so probes mix short ranges deep in
+			// a tree sized for the widest span with dense stacking.
+			span := spans[n%3]
 			iv := randInterval(rng, 4, span)
 			for _, b := range allBanks {
 				if got, want := tree.PressureIfAdded(b, iv), naive.PressureIfAdded(b, iv); got != want {
 					t.Fatalf("seed %d op %d: PressureIfAdded(%d, %v) = %d, naive %d", seed, n, b, iv, got, want)
 				}
 			}
-			gotRank := tree.RankBanks(allBanks, iv)
 			wantRank := naive.RankBanks(allBanks, iv)
-			for i := range wantRank {
-				if gotRank[i] != wantRank[i] {
-					t.Fatalf("seed %d op %d: RankBanks = %v, naive %v", seed, n, gotRank, wantRank)
-				}
-			}
 			if got := tree.BestBank(allBanks, iv); got != wantRank[0] {
 				t.Fatalf("seed %d op %d: BestBank = %d, RankBanks[0] = %d", seed, n, got, wantRank[0])
 			}
@@ -70,7 +69,7 @@ func TestTrackerMatchesNaiveRandomized(t *testing.T) {
 // both implementations: no segments means the committed pressure.
 func TestTrackerEmptyProbe(t *testing.T) {
 	cfg := bankfile.RV2(2)
-	tree := pressure.NewTracker(cfg)
+	tree := pressure.NewTracker(cfg, 10)
 	naive := pressure.NewNaiveTracker(cfg)
 	iv := &liveness.Interval{}
 	iv.Add(0, 10)

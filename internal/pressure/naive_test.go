@@ -14,7 +14,6 @@ import (
 // differential tests assert that Tracker and NaiveTracker agree on every
 // query; the microbenchmarks measure the gap between them.
 type NaiveTracker struct {
-	cfg bankfile.Config
 	// events per bank: +1 at segment starts, -1 at ends.
 	events [][]naiveEvent
 	// counts per bank: number of committed intervals.
@@ -29,14 +28,10 @@ type naiveEvent struct {
 // NewNaiveTracker returns a naive tracker for the given configuration.
 func NewNaiveTracker(cfg bankfile.Config) *NaiveTracker {
 	return &NaiveTracker{
-		cfg:    cfg,
 		events: make([][]naiveEvent, cfg.NumBanks),
 		counts: make([]int, cfg.NumBanks),
 	}
 }
-
-// Config returns the register file configuration the tracker serves.
-func (t *NaiveTracker) Config() bankfile.Config { return t.cfg }
 
 // Add commits an interval to the given bank. The bank's event list is kept
 // sorted incrementally: each segment contributes two events inserted at
@@ -121,8 +116,10 @@ func (t *NaiveTracker) PressureIfAdded(bank int, iv *liveness.Interval) int {
 }
 
 // RankBanks orders the candidate banks by ascending pressure-if-added,
-// breaking ties by committed-interval count, then bank index.
+// breaking ties by committed-interval count, then bank index: the full
+// PresCountPrioritize ordering, whose head Tracker.BestBank must return.
 func (t *NaiveTracker) RankBanks(candidates []int, iv *liveness.Interval) []int {
+	type bankScore struct{ bank, pressure, count int }
 	out := make([]bankScore, 0, len(candidates))
 	for _, b := range candidates {
 		out = append(out, bankScore{b, t.PressureIfAdded(b, iv), t.counts[b]})

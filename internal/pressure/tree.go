@@ -1,5 +1,7 @@
 package pressure
 
+import "math"
+
 // profileTree is the per-bank pressure profile: an implicit segment tree
 // over the slot-coordinate domain [0, cap). Leaf p holds the net event
 // delta at coordinate p (+1 per committed segment starting there, -1 per
@@ -8,146 +10,110 @@ package pressure
 // [Start, End) semantics: the -1 at End sits at the first slot the segment
 // no longer covers).
 //
-// Internal nodes cache two aggregates of their leaf range:
+// Every node caches two aggregates of its leaf range, side by side:
 //
 //	sum  — the range's delta sum;
 //	best — the maximum non-empty prefix sum within the range.
 //
 // best composes left-to-right (best = max(l.best, l.sum + r.best)), which
 // makes the whole-profile maximum coverage — the paper's bank pressure
-// count — available at the root in O(1), point updates O(log cap), and
-// "maximum coverage over [s, e)" answerable by one prefix-sum plus one
-// ordered range query, both O(log cap) and allocation-free. That turns the
-// PressureIfAdded probe of Algorithm 1, which RankBanks issues banks ×
-// intervals times, from a full event-list merge into a handful of tree
-// descents.
+// count — available at the root in O(1), a segment commit O(log cap), and
+// "maximum coverage over [s, e)" answerable by one bottom-up walk that also
+// sums the prefix before s, O(log cap) and allocation-free. That turns the
+// PressureIfAdded probe of Algorithm 1, which BestBank issues once per
+// candidate bank, from a full event-list merge into a short loop.
 //
-// The domain grows lazily: cap is 0 until the first update and doubles to
-// cover new coordinates, rebuilding in O(cap) (amortized O(1) per update
-// since slot indexes are bounded by the function's linearization).
+// The tree is allocated once, on the bank's first Add, with a power-of-two
+// leaf count covering every slot of the function ([0, slots], End
+// included), and never grows. A coverage count is bounded by the
+// function's vreg count, so int32 aggregates cannot overflow.
 type profileTree struct {
-	cap  int   // leaf count; a power of two, 0 until first update
-	sum  []int // 1-indexed heap layout, len 2*cap; leaves at [cap, 2*cap)
-	best []int // max non-empty prefix sum of each node's range
+	cap   int    // leaf count; a power of two, 0 until the first update
+	nodes []node // 1-indexed heap layout, len 2*cap; leaves at [cap, 2*cap)
 }
 
-// minCap is the initial leaf count of a freshly grown tree: large enough
-// for small functions to never regrow, small enough to keep per-bank cost
-// trivial.
-const minCap = 64
+type node struct{ sum, best int32 }
 
-// ensure grows the domain to cover coordinate n-1.
-func (t *profileTree) ensure(n int) {
-	if n <= t.cap {
-		return
-	}
-	c := t.cap
-	if c == 0 {
-		c = minCap
-	}
-	for c < n {
+// alloc sizes the tree to cover coordinates [0, slots].
+func (t *profileTree) alloc(slots int) {
+	c := 1
+	for c <= slots {
 		c *= 2
 	}
-	sum := make([]int, 2*c)
-	best := make([]int, 2*c)
-	copy(sum[c:c+t.cap], t.sum[t.cap:])
-	for i := c; i < c+t.cap; i++ {
-		best[i] = sum[i]
-	}
-	for i := c - 1; i >= 1; i-- {
-		sum[i] = sum[2*i] + sum[2*i+1]
-		best[i] = maxInt(best[2*i], sum[2*i]+best[2*i+1])
-	}
-	t.cap, t.sum, t.best = c, sum, best
+	t.cap, t.nodes = c, make([]node, 2*c)
 }
 
-// update adds delta to the leaf at coordinate pos and refreshes the
-// aggregates on the root path.
-func (t *profileTree) update(pos, delta int) {
-	t.ensure(pos + 1)
-	i := t.cap + pos
-	t.sum[i] += delta
-	t.best[i] = t.sum[i]
-	for i >>= 1; i >= 1; i >>= 1 {
-		l, r := 2*i, 2*i+1
-		t.sum[i] = t.sum[l] + t.sum[r]
-		t.best[i] = maxInt(t.best[l], t.sum[l]+t.best[r])
+// addSegment commits the segment [s, e), s < e: +1 at leaf s, -1 at leaf
+// e. The two root paths are refreshed side by side up to the leaves'
+// common ancestor and once from there.
+func (t *profileTree) addSegment(s, e int) {
+	n := t.nodes
+	i, j := t.cap+s, t.cap+e
+	n[i].sum++
+	n[i].best = n[i].sum
+	n[j].sum--
+	n[j].best = n[j].sum
+	for i, j = i>>1, j>>1; i != j; i, j = i>>1, j>>1 {
+		t.refresh(i)
+		t.refresh(j)
 	}
+	for ; i >= 1; i >>= 1 {
+		t.refresh(i)
+	}
+}
+
+// refresh recomputes node i's aggregates from its children.
+func (t *profileTree) refresh(i int) {
+	l, r := t.nodes[2*i], t.nodes[2*i+1]
+	t.nodes[i] = node{l.sum + r.sum, max(l.best, l.sum+r.best)}
 }
 
 // globalMax returns max_p P(p): the bank's current pressure count.
 // Coverage is a count and hence never negative, so clamping at 0 matches
 // the empty profile.
 func (t *profileTree) globalMax() int {
-	if t.cap == 0 || t.best[1] < 0 {
+	if t.cap == 0 {
 		return 0
 	}
-	return t.best[1]
+	return max(int(t.nodes[1].best), 0)
 }
 
 // maxCoverage returns max_{p in [s, e)} P(p), the peak committed coverage
 // under a probe segment. Requires s < e; coordinates at or beyond cap carry
 // coverage equal to the total delta sum, which is 0 because every committed
 // segment contributes a matched +1/-1 pair inside the domain.
+//
+// One bottom-up walk climbs from both ends of [s, e) at once: nodes taken
+// on the left join the left accumulator after what it already holds, nodes
+// taken on the right join the right accumulator before it, and the two meet
+// in order at the end; the right side needs only its best. The same walk
+// adds up P(s-1), the coverage the range starts from. Accumulators are int
+// so the "no prefix yet" best cannot overflow when a sum is added to it.
 func (t *profileTree) maxCoverage(s, e int) int {
 	if t.cap == 0 || s >= t.cap {
 		return 0
 	}
-	if e > t.cap {
-		e = t.cap
-	}
-	base := 0
-	if s > 0 {
-		base = t.prefixSum(s - 1)
-	}
-	_, b := t.rangePrefixBest(1, 0, t.cap-1, s, e-1)
-	return base + b
-}
-
-// prefixSum returns Σ leaf[0..r] for r in [0, cap).
-func (t *profileTree) prefixSum(r int) int {
-	if r >= t.cap-1 {
-		return t.sum[1]
-	}
-	lo, hi := t.cap, t.cap+r
-	s := 0
-	for lo <= hi {
+	e = min(e, t.cap)
+	n := t.nodes
+	// x climbs leaf s's root path: the left sibling of every right child
+	// on it lies wholly before s, so their sums add up to P(s-1).
+	x, base := s+t.cap, 0
+	lSum, lBest := 0, math.MinInt32
+	rBest := math.MinInt32
+	for lo, hi := x, e+t.cap; lo < hi; lo, hi, x = lo>>1, hi>>1, x>>1 {
+		base += int(n[x-1].sum) & -(x & 1)
 		if lo&1 == 1 {
-			s += t.sum[lo]
+			lBest = max(lBest, lSum+int(n[lo].best))
+			lSum += int(n[lo].sum)
 			lo++
 		}
-		if hi&1 == 0 {
-			s += t.sum[hi]
+		if hi&1 == 1 {
 			hi--
+			rBest = max(int(n[hi].best), int(n[hi].sum)+rBest)
 		}
-		lo >>= 1
-		hi >>= 1
 	}
-	return s
-}
-
-// rangePrefixBest returns (sum, best) of the leaf subrange [l, r], where
-// best is the maximum non-empty prefix sum of that subarray. Node i covers
-// leaves [lo, hi]; callers start at the root with [0, cap-1] ⊇ [l, r].
-func (t *profileTree) rangePrefixBest(i, lo, hi, l, r int) (sum, best int) {
-	if l <= lo && hi <= r {
-		return t.sum[i], t.best[i]
+	for ; x > 1; x >>= 1 {
+		base += int(n[x-1].sum) & -(x & 1)
 	}
-	mid := (lo + hi) / 2
-	if r <= mid {
-		return t.rangePrefixBest(2*i, lo, mid, l, r)
-	}
-	if l > mid {
-		return t.rangePrefixBest(2*i+1, mid+1, hi, l, r)
-	}
-	ls, lb := t.rangePrefixBest(2*i, lo, mid, l, mid)
-	rs, rb := t.rangePrefixBest(2*i+1, mid+1, hi, mid+1, r)
-	return ls + rs, maxInt(lb, ls+rb)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return base + max(lBest, lSum+rBest)
 }

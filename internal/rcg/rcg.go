@@ -10,7 +10,6 @@ package rcg
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"prescount/internal/cfg"
 	"prescount/internal/ir"
@@ -298,21 +297,23 @@ func (g *Graph) Components() [][]ir.Reg {
 		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
-	maxCost := func(comp []ir.Reg) float64 {
-		m := 0.0
-		for _, r := range comp {
-			if c := g.Cost(r); c > m {
-				m = c
-			}
-		}
-		return m
+	// Each component's maximum Cost_R is computed once. Components were
+	// found in order of their smallest register, so a stable sort by cost
+	// leaves ties to the smaller first register.
+	type ranked struct {
+		cost float64
+		comp []ir.Reg
 	}
-	sort.SliceStable(comps, func(i, j int) bool {
-		ci, cj := maxCost(comps[i]), maxCost(comps[j])
-		if ci != cj {
-			return ci > cj
+	rs := make([]ranked, len(comps))
+	for i, comp := range comps {
+		rs[i].comp = comp
+		for _, r := range comp {
+			rs[i].cost = max(rs[i].cost, g.Cost(r))
 		}
-		return comps[i][0] < comps[j][0]
-	})
+	}
+	slices.SortStableFunc(rs, func(a, b ranked) int { return cmp.Compare(b.cost, a.cost) })
+	for i, r := range rs {
+		comps[i] = r.comp
+	}
 	return comps
 }

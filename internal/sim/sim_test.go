@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -165,6 +169,46 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 	if _, err := Run(f, Options{MaxSteps: 1000, MemSize: 16}); err == nil {
 		t.Error("infinite loop terminated without error")
+	}
+}
+
+// checksumBytewise is checksum as its definition states it: 64-bit
+// FNV-1a over every element's little-endian bit pattern.
+func checksumBytewise(mem []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range mem {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestChecksumMatchesBytewise pins the zero-element shortcut to the
+// byte-wise FNV-1a over random sparse memories, an all-zero memory, a
+// memory with no zeros and the empty one. Negative zero is not a zero bit
+// pattern and must take the byte-wise path.
+func TestChecksumMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	mems := [][]float64{nil, make([]float64, 4096)}
+	dense := make([]float64, 4096)
+	for i := range dense {
+		dense[i] = 1 + rng.Float64()
+	}
+	mems = append(mems, dense)
+	for _, nonzero := range []float64{0.001, 0.01, 0.1, 0.5} {
+		mem := make([]float64, 1+rng.Intn(8192))
+		for i := range mem {
+			if rng.Float64() < nonzero {
+				mem[i] = []float64{rng.NormFloat64(), math.Copysign(0, -1), math.Inf(1), 1}[rng.Intn(4)]
+			}
+		}
+		mems = append(mems, mem)
+	}
+	for i, mem := range mems {
+		if got, want := checksum(mem), checksumBytewise(mem); got != want {
+			t.Errorf("memory %d (%d elements): checksum %#x, byte-wise FNV-1a %#x", i, len(mem), got, want)
+		}
 	}
 }
 
