@@ -158,7 +158,7 @@ func main() {
 		// Cold pass populates each node's disk cache; the warm pass respawns
 		// the whole fleet on the same directories and replays the identical
 		// corpus — every compile should come off disk, not the allocator.
-		// Ports are pinned across the respawn: the ring hashes backend URLs,
+		// Ports are pinned across the respawn: placement hashes backend URLs,
 		// so stable addresses (a given in production) are what keep each
 		// kernel routed to the node whose disk already holds it.
 		var ports []int
@@ -192,9 +192,10 @@ func main() {
 // dir/node<i>, stable across respawns — and a consistent-hash router over
 // them. *ports pins the listen ports: empty on the first call (ephemeral
 // ports are recorded into it), replayed on respawn so backend URLs — the
-// ring's hash inputs — survive the restart. It returns the router URL (the
-// load target), the backend URLs (the statz scrape set) and a shutdown that
-// closes everything, flushing each node's disk write-behind queue.
+// placement's hash inputs — survive the restart. It returns the router
+// URL (the load target), the backend URLs (the statz scrape set) and a
+// shutdown that closes everything, flushing each node's disk write-behind
+// queue.
 func spawnFleet(n int, dir string, ports *[]int) (target string, urls []string, shutdown func()) {
 	var downs []func()
 	for i := 0; i < n; i++ {

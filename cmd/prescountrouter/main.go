@@ -26,16 +26,22 @@
 // GET /healthz (200 while any backend is healthy) and GET /statz
 // (per-backend health and traffic counters).
 //
-// The hash ring has a fixed 128 virtual nodes per backend.
+// Placement is rendezvous hashing: every backend scores each key from
+// its URL alone, and the key goes to the highest score. Shares come out
+// even, adding or removing a backend moves only the keys it wins or held,
+// and routers over the same backends place alike whatever order lists
+// them. URLs are placed after trimming a trailing "/"; a backend listed
+// twice that way is an error (exit 1).
 //
-// Retry policy: connection failures and 429s hop to the ring successor
-// with jittered backoff; compile errors and deadlines pass through
+// Retry policy: connection failures and 429s hop to the
+// next-highest-scoring backend with jittered backoff (the k-th hop waits
+// about k*10ms plus up to 50%); compile errors and deadlines pass through
 // untouched (they are the backend's authoritative answer) and stream back
 // as the backend sends them. With every backend saturated the final 429
 // passes through; with none healthy the router answers 503 with
-// Retry-After. Each per-backend sub-batch of a batch walks the ring the
-// same way, and one that ends without a 200 fails its entries inside the
-// batch's 200 (saturated, no_backend or upstream).
+// Retry-After. Each per-backend sub-batch of a batch walks its backends
+// the same way, and one that ends without a 200 fails its entries inside
+// the batch's 200 (saturated, no_backend or upstream).
 package main
 
 import (

@@ -16,10 +16,10 @@ import (
 // through forward in parallel. Identical entries hash identically, so
 // every duplicate of a kernel lands in the same sub-batch and the
 // backend's dedup collapses them fleet-wide. A sub-batch walks its first
-// entry's ring successors the way a compile does; the answer it ends with
-// maps onto its entries, which fail individually inside the 200 envelope —
-// the batch itself never 5xxs. An entry with no healthy backend fails as
-// no_backend at once.
+// entry's backends by score the way a compile does; the answer it ends
+// with maps onto its entries, which fail individually inside the 200
+// envelope — the batch itself never 5xxs. An entry with no healthy
+// backend fails as no_backend at once.
 func (r *Router) proxyBatch(w http.ResponseWriter, req *http.Request) {
 	body, ok := r.readBody(w, req)
 	if !ok {

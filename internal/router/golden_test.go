@@ -130,8 +130,8 @@ func rawQuery(r server.CompileRequest) string {
 var wallNS = regexp.MustCompile(`,"wall_ns":[0-9]+`)
 
 // goldenNode is one daemon behind a fixed URL whose process can be
-// restarted over the same disk directory: the router's ring hashes
-// backend URLs, so keeping them fixed keeps every kernel on its node.
+// restarted over the same disk directory: the router places kernels by
+// backend URL, so keeping them fixed keeps every kernel on its node.
 type goldenNode struct {
 	cfg     server.Config
 	srv     *server.Server
@@ -191,7 +191,7 @@ func TestGoldenResponses(t *testing.T) {
 			}
 			base := urls[0]
 			if topo.nodes > 1 {
-				r, err := New(Config{Backends: urls, HealthEvery: time.Hour, RetryBase: time.Millisecond})
+				r, err := New(Config{Backends: urls, HealthEvery: time.Hour})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,6 +15,12 @@ var (
 	mirKey     = []byte("mir")
 )
 
+// The FNV-64a parameters, shared by the routing key and placement.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 // routingKey hashes the MIR text of one compile request in one pass over
 // its bytes. It skips what never changes an answer: the name on each
 // "func @NAME {" line, the "module NAME" header line, whitespace, blank
@@ -27,10 +33,6 @@ var (
 // answer bytes. The hash is FNV-64a, with no per-process seed, so every
 // router over one backend list places a kernel on the same node.
 func routingKey(mir []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	for len(mir) > 0 {
 		line := mir

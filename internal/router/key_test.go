@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,18 +111,11 @@ func TestRoutingKeyGroupsLikeFingerprints(t *testing.T) {
 	}
 }
 
-// TestRoutingKeySpread places the keys of 1,000 distinct kernels on a
-// 4-node ring. The ring is uneven by itself, so each node's share is held
-// to within 5 points of its share of evenly spread keys, not to a flat
-// band.
+// TestRoutingKeySpread places the keys of 1,000 distinct kernels on 3, 4
+// and 5 nodes and holds each node within 5 points of 1/n.
 func TestRoutingKeySpread(t *testing.T) {
-	const n, kernels, even = 4, 1000, 40000
-	r := newRing(ringURLs(n))
-	want := make([]float64, n)
-	for i := 0; i < even; i++ {
-		want[r.primary(uint64(i)*0x9e3779b97f4a7c15)] += 1.0 / even
-	}
-	got := make([]float64, n)
+	const kernels = 1000
+	keys := make([]uint64, 0, kernels)
 	seen := map[uint64]bool{}
 	for seed := int64(1); seed <= kernels; seed++ {
 		key := routingKey([]byte(ir.Print(workload.RandomSized(seed, 120))))
@@ -129,12 +123,30 @@ func TestRoutingKeySpread(t *testing.T) {
 			t.Fatalf("seed %d: key collides with an earlier kernel's", seed)
 		}
 		seen[key] = true
-		got[r.primary(key)] += 1.0 / kernels
+		keys = append(keys, key)
 	}
-	for b := range got {
-		if math.Abs(got[b]-want[b]) > 0.05 {
-			t.Errorf("node %d holds %.1f%% of kernel keys, %.1f%% of even keys", b, 100*got[b], 100*want[b])
+	for n := 3; n <= 5; n++ {
+		r := newRing(ringURLs(n))
+		got := make([]float64, n)
+		for _, key := range keys {
+			got[r.primary(key)] += 1.0 / kernels
 		}
+		for b := range got {
+			if math.Abs(got[b]-1/float64(n)) > 0.05 {
+				t.Errorf("node %d of %d holds %.1f%% of kernel keys", b, n, 100*got[b])
+			}
+		}
+	}
+	// The CI fleet smoke replays these 16 kernels round-robin, so a node
+	// that is primary for k of them caps the smoke's 3-node speedup near
+	// 16/k.
+	r := newRing(ciURLs)
+	counts := make([]int, len(ciURLs))
+	for _, mir := range server.Corpus(16) {
+		counts[r.primary(routingKey([]byte(mir)))]++
+	}
+	if slices.Max(counts) > 7 {
+		t.Errorf("the CI fleet corpus places %v kernels per node, want at most 7 on any", counts)
 	}
 }
 

@@ -18,6 +18,10 @@
 // kernel once: memory caches re-warm, and since a disk record stays on its
 // old node, each kernel compiles once on its new one.
 //
+// Placement (successors) is rendezvous hashing over backend URLs: each
+// node owns an even share of the keys, and a node that joins or leaves
+// moves only the keys it takes or held.
+//
 // The router parses no MIR and holds no compile state: request bodies,
 // query strings and batch entries pass through verbatim, and a compile's
 // answer streams back as the backend sends it.
@@ -32,6 +36,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,18 +54,16 @@ type Config struct {
 	// Retries caps the distinct backends tried per compile or batch
 	// sub-batch (default 3, clamped to the backend count).
 	Retries int
-	// RetryBase is the pre-jitter backoff before each retry hop (default
-	// 10ms; the k-th hop waits ~k*RetryBase plus up to 50% jitter).
-	RetryBase time.Duration
 	// MaxBody caps buffered request bodies (default 8 MiB). The router
 	// must buffer to retry, so this is its memory bound per request.
 	MaxBody int64
-	// Client overrides the proxy HTTP client (tests inject one with short
-	// timeouts).
-	Client *http.Client
 }
 
-// idleConnsPerBackend is the default proxy client's keep-alive pool per
+// retryBase is the pre-jitter backoff unit: the k-th retry hop waits
+// ~k*retryBase plus up to 50% jitter.
+const retryBase = 10 * time.Millisecond
+
+// idleConnsPerBackend is the proxy client's keep-alive pool per
 // backend. It covers 64 concurrent clients, the CI fleet smoke's load, on
 // one node, so steady traffic reuses connections; net/http's default
 // transport keeps 2 and dials again for every request beyond them.
@@ -79,17 +82,8 @@ func (cfg Config) normalize() Config {
 	if cfg.Retries > len(cfg.Backends) {
 		cfg.Retries = len(cfg.Backends)
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * time.Millisecond
-	}
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 8 << 20
-	}
-	if cfg.Client == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConns = 0 // no fleet-wide cap; the per-backend one holds
-		t.MaxIdleConnsPerHost = idleConnsPerBackend
-		cfg.Client = &http.Client{Transport: t}
 	}
 	return cfg
 }
@@ -115,6 +109,7 @@ func stateName(s int32) string {
 // backend is one fleet node and its health/traffic counters.
 type backend struct {
 	url      string
+	seed     uint64 // urlSeed(url), where every placement score starts
 	state    atomic.Int32
 	requests atomic.Int64
 	retries  atomic.Int64 // hops that landed here after another node failed
@@ -125,7 +120,7 @@ type backend struct {
 // Handler, and Stop when done.
 type Router struct {
 	cfg      Config
-	ring     *ring
+	client   *http.Client
 	backends []*backend
 	start    time.Time
 
@@ -137,22 +132,31 @@ type Router struct {
 	healthDone chan struct{}
 }
 
-// New builds the router and starts its health loop. Backends start in the
-// healthy state and demote on the first failed probe; call CheckNow for a
-// synchronous initial sweep.
+// New builds the router and starts its health loop. It trims each
+// backend URL's trailing "/" and both sends to and places by the trimmed
+// URL, so a URL listed twice either way is an error. Backends start in
+// the healthy state and demote on the first failed probe; call CheckNow
+// for a synchronous initial sweep.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.normalize()
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("router: no backends")
 	}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no fleet-wide cap; the per-backend one holds
+	t.MaxIdleConnsPerHost = idleConnsPerBackend
 	r := &Router{
 		cfg:        cfg,
-		ring:       newRing(cfg.Backends),
+		client:     &http.Client{Transport: t},
 		start:      time.Now(),
 		healthDone: make(chan struct{}),
 	}
 	for _, u := range cfg.Backends {
-		r.backends = append(r.backends, &backend{url: strings.TrimRight(u, "/")})
+		u = strings.TrimRight(u, "/")
+		if slices.ContainsFunc(r.backends, func(b *backend) bool { return b.url == u }) {
+			return nil, fmt.Errorf("router: backend %s listed twice", u)
+		}
+		r.backends = append(r.backends, &backend{url: u, seed: urlSeed(u)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.stopHealth = cancel
@@ -217,7 +221,7 @@ func (r *Router) probe(url string) int32 {
 	if err != nil {
 		return stateDown
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return stateDown
 	}
@@ -234,11 +238,11 @@ func (r *Router) probe(url string) int32 {
 }
 
 // candidates returns up to cfg.Retries usable backends for key, healthy
-// ones in ring order. Draining and down nodes are skipped; if nothing is
-// healthy the caller answers 503.
+// ones in descending score order. Draining and down nodes are skipped; if
+// nothing is healthy the caller answers 503.
 func (r *Router) candidates(key uint64) []*backend {
 	var out []*backend
-	for _, i := range r.ring.successors(key) {
+	for _, i := range r.successors(key) {
 		if len(out) >= r.cfg.Retries {
 			break
 		}
@@ -249,10 +253,10 @@ func (r *Router) candidates(key uint64) []*backend {
 	return out
 }
 
-// jitteredBackoff sleeps ~hop*RetryBase with up to 50% jitter.
+// jitteredBackoff sleeps ~hop*retryBase with up to 50% jitter.
 func (r *Router) jitteredBackoff(ctx context.Context, hop int) {
-	base := time.Duration(hop) * r.cfg.RetryBase
-	j := time.Duration(rand.Int64N(int64(r.cfg.RetryBase)/2 + 1))
+	base := time.Duration(hop) * retryBase
+	j := time.Duration(rand.Int64N(int64(retryBase)/2 + 1))
 	select {
 	case <-time.After(base + j):
 	case <-ctx.Done():
@@ -289,8 +293,8 @@ func (r *Router) readBody(w http.ResponseWriter, req *http.Request) (body []byte
 	return body, true
 }
 
-// proxyCompile forwards one single/module compile along the ring and
-// streams the answer back.
+// proxyCompile forwards one single/module compile to its key's backends
+// and streams the answer back.
 func (r *Router) proxyCompile(w http.ResponseWriter, req *http.Request, path string) {
 	body, ok := r.readBody(w, req)
 	if !ok {
@@ -349,7 +353,7 @@ func (br *backendReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// forward walks key's ring successors until a backend produces a
+// forward walks key's backends by score until one produces a
 // non-retryable answer, and returns that answer with its body unread and
 // the backend that gave it. Retryable outcomes are connection failures
 // (the node died mid-request) and 429 (saturated); everything else,
@@ -374,7 +378,7 @@ func (r *Router) forward(ctx context.Context, key uint64, path, contentType stri
 		var resp *http.Response
 		if err == nil {
 			out.Header.Set("Content-Type", contentType)
-			resp, err = r.cfg.Client.Do(out)
+			resp, err = r.client.Do(out)
 		}
 		if err == nil && resp.StatusCode == http.StatusTooManyRequests {
 			// Read the 429 now, so its connection goes back to the pool

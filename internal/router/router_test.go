@@ -46,7 +46,6 @@ func fleet(t *testing.T, n int, cfg server.Config) ([]*server.Server, []*httptes
 	r, err := New(Config{
 		Backends:    urls,
 		HealthEvery: time.Hour, // tests drive probes via CheckNow
-		RetryBase:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +117,7 @@ func TestRouterRenamedKernelSameBackend(t *testing.T) {
 
 // TestBackendDeathFailover is the first edge case of the issue: a backend
 // dying mid-stream must not surface as a 5xx — the router demotes it and
-// retries the ring successor.
+// retries the next-highest-scoring backend.
 func TestBackendDeathFailover(t *testing.T) {
 	backends, tss, r, rts := fleet(t, 3, server.Config{MaxInFlight: 1})
 	// Find the kernel's owning backend and kill it.

@@ -30,7 +30,7 @@ func TestRouterBatchSaturated(t *testing.T) {
 		io.WriteString(w, `{"error":"1 in flight and 1 queued; retry later","code":"saturated"}`+"\n")
 	}))
 	t.Cleanup(busy.Close)
-	r, err := New(Config{Backends: []string{busy.URL}, HealthEvery: time.Hour, RetryBase: time.Millisecond})
+	r, err := New(Config{Backends: []string{busy.URL}, HealthEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,11 @@ func TestRouterBatchSaturated(t *testing.T) {
 }
 
 // TestRouterBatchBusyPrimaryWalks: a sub-batch whose node answers 429
-// walks to the ring successor, as a compile does. Over a node that is
-// healthy but answers 429 to every compile, and a real daemon, the busy
-// node gets the batch's sub-batch once, and every entry, whichever node
-// owns it, answers what a routed compile of its kernel answers.
+// walks to the next-highest-scoring backend, as a compile does. Over a
+// node that is healthy but answers 429 to every compile, and a real
+// daemon, the busy node gets the batch's sub-batch once, and every entry,
+// whichever node owns it, answers what a routed compile of its kernel
+// answers.
 func TestRouterBatchBusyPrimaryWalks(t *testing.T) {
 	var busyBatches atomic.Int64
 	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -95,7 +96,7 @@ func TestRouterBatchBusyPrimaryWalks(t *testing.T) {
 	t.Cleanup(s.Close)
 	daemon := httptest.NewServer(s.Handler())
 	t.Cleanup(daemon.Close)
-	r, err := New(Config{Backends: []string{busy.URL, daemon.URL}, HealthEvery: time.Hour, RetryBase: time.Millisecond})
+	r, err := New(Config{Backends: []string{busy.URL, daemon.URL}, HealthEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRouterBatchBusyPrimaryWalks(t *testing.T) {
 			t.Fatalf("no two kernels per node among seeds 81..200: %d and %d", len(owned[0]), len(owned[1]))
 		}
 		mir := ir.Print(workload.RandomSized(seed, 80))
-		if b := r.ring.successors(routingKey([]byte(mir)))[0]; len(owned[b]) < 2 {
+		if b := r.successors(routingKey([]byte(mir)))[0]; len(owned[b]) < 2 {
 			owned[b] = append(owned[b], mir)
 		}
 	}

@@ -29,7 +29,7 @@ func streamFleet(t *testing.T, backend http.HandlerFunc) (*Router, string, chan 
 		backend(w, req)
 	}))
 	t.Cleanup(bts.Close)
-	r, err := New(Config{Backends: []string{bts.URL}, HealthEvery: time.Hour, RetryBase: time.Millisecond})
+	r, err := New(Config{Backends: []string{bts.URL}, HealthEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRouterReusesBackendConns(t *testing.T) {
 	}
 	bts.Start()
 	t.Cleanup(bts.Close)
-	r, err := New(Config{Backends: []string{bts.URL}, HealthEvery: time.Hour, RetryBase: time.Millisecond})
+	r, err := New(Config{Backends: []string{bts.URL}, HealthEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

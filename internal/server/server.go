@@ -631,9 +631,9 @@ func methodLabel(m string) string {
 }
 
 // maxRegs bounds a request's register file at the largest file in the
-// paper (RV#1 and the DSA). A compile's per-register tables, and the
-// process-wide memo caches in bankfile and regalloc that no cache cap
-// sees, grow with the file.
+// paper (RV#1 and the DSA). A compile's per-register tables, and
+// regalloc's process-wide allocation-order memo that no cache cap sees,
+// grow with the file.
 const maxRegs = 1024
 
 // compileOptions maps the request envelope onto core.Options, wiring in

@@ -75,9 +75,6 @@ func (e *exec) runAlloc(ref *exec, choices []int) []adoption {
 					ci = len(cands) - 1
 				}
 				entry[l] = cands[ci]
-				if debugf != nil {
-					debugf("adopt %s@%s: cands=%v isPhi=%v chose=%d -> v%d", l, b.Name, cands, isPhi, ci, cands[ci])
-				}
 				adoptions = append(adoptions, adoption{
 					block: b, l: l, cands: cands, isPhi: isPhi, chose: ci,
 				})
@@ -194,10 +191,6 @@ func (e *exec) verifyAdoptions(ref *exec, adoptions []adoption) (error, int) {
 			}
 			if got == want {
 				continue
-			}
-			if debugf != nil {
-				debugf("refuted %s@%s: pred %s got v%d want v%d (chose %d/%d)",
-					ad.l, ad.block.Name, p.Name, got, want, ad.chose, len(ad.cands))
 			}
 			return ir.Diagf(RuleJoin, e.f.Name, ad.block.Name, -1,
 				"location %s is live into the join but no reference merge matches it: predecessor %s delivers a value inconsistent with every candidate",

@@ -61,20 +61,6 @@ func compareAnchors(ref, al *exec, rb, ab *ir.Block) error {
 			return ir.Diagf(RuleValue, al.f.Name, ab.Name, d.instr,
 				"%s computed %d times, reference computes it %d times", d.op, cnt, rfx.anchors[vn])
 		}
-		if debugf != nil {
-			debugf("anchor mismatch %s@%s#%d: alloc opnds=%v", d.op, ab.Name, d.instr, d.opnds)
-			for _, ov := range d.opnds {
-				debugf("  alloc opnd v%d = %s", ov, al.t.describe(ov, 3))
-			}
-			for _, rd := range rfx.detail {
-				if rd.op == d.op {
-					debugf("  ref %s#%d opnds=%v", rd.op, rd.instr, rd.opnds)
-					for _, ov := range rd.opnds {
-						debugf("    ref opnd v%d = %s", ov, al.t.describe(ov, 3))
-					}
-				}
-			}
-		}
 		// Name the operand that differs from a reference computation of
 		// the same opcode, then refine by the nature of its value.
 		if oi, ok := divergingOperand(rfx, d); ok {

@@ -441,9 +441,6 @@ func (e *exec) runRef() error {
 					}
 				}
 				if agreed && nonself > 0 {
-					if debugf != nil {
-						debugf("collapse degenerate phi v%d (%s@%s, non-self edges all v%d)", pe.vn, pe.l, b.Name, first)
-					}
 					delete(e.phiAt, phiKey{b.ID, pe.l})
 					removed = true
 					continue
