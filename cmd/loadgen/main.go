@@ -188,14 +188,19 @@ func main() {
 	}
 }
 
+// fleetBasePort is node 0's listen port; node i listens on
+// fleetBasePort+i, the CI fleet smoke's backend ports.
+const fleetBasePort = 7711
+
 // spawnFleet starts n in-process daemons — node i's disk cache under
 // dir/node<i>, stable across respawns — and a consistent-hash router over
-// them. *ports pins the listen ports: empty on the first call (ephemeral
-// ports are recorded into it), replayed on respawn so backend URLs — the
-// placement's hash inputs — survive the restart. It returns the router
-// URL (the load target), the backend URLs (the statz scrape set) and a
-// shutdown that closes everything, flushing each node's disk write-behind
-// queue.
+// them. Placement hashes backend URLs, so the first call binds the fixed
+// ports fleetBasePort+i: every run then places the corpus alike. A port
+// that is taken falls back to an ephemeral one, named on stderr. *ports
+// records the ports of the first call and is replayed on respawn, so
+// backend URLs survive the restart. It returns the router URL (the load
+// target), the backend URLs (the statz scrape set) and a shutdown that
+// closes everything, flushing each node's disk write-behind queue.
 func spawnFleet(n int, dir string, ports *[]int) (target string, urls []string, shutdown func()) {
 	var downs []func()
 	for i := 0; i < n; i++ {
@@ -204,11 +209,18 @@ func spawnFleet(n int, dir string, ports *[]int) (target string, urls []string, 
 			DiskCacheDir:  filepath.Join(dir, fmt.Sprintf("node%d", i)),
 		})
 		check(err)
-		addr := "127.0.0.1:0"
+		port := fleetBasePort + i
 		if i < len(*ports) {
-			addr = fmt.Sprintf("127.0.0.1:%d", (*ports)[i])
+			port = (*ports)[i]
 		}
-		l, err := net.Listen("tcp", addr)
+		l, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+		if err != nil && i >= len(*ports) {
+			l, err = net.Listen("tcp", "127.0.0.1:0")
+			if err == nil {
+				fmt.Fprintf(os.Stderr, "loadgen: port %d taken; fleet node %d listens on ephemeral port %d, so placement differs from other runs\n",
+					port, i, l.Addr().(*net.TCPAddr).Port)
+			}
+		}
 		check(err)
 		if i >= len(*ports) {
 			*ports = append(*ports, l.Addr().(*net.TCPAddr).Port)

@@ -26,13 +26,15 @@ type Stats struct {
 func Run(f *ir.Func) Stats { return RunCached(f, analysis.New(f)) }
 
 // RunCached is Run consuming (and maintaining) the pipeline's analysis
-// cache: each round reads the cached liveness, and mutating rounds mark
-// the function mutated while retaining the CFG — coalescing removes
-// copies and renames operands but never edits control flow.
+// cache: a round reads the cached liveness once it meets a
+// virtual-to-virtual copy, so a round with none computes no liveness, and
+// mutating rounds mark the function mutated while retaining the CFG —
+// coalescing removes copies and renames operands but never edits control
+// flow.
 func RunCached(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
 	for round := 0; ; round++ {
-		n, cands := runOnce(f, ac.Liveness())
+		n, cands := runOnce(f, ac)
 		if round == 0 {
 			st.Candidates = cands
 		}
@@ -45,7 +47,8 @@ func RunCached(f *ir.Func, ac *analysis.Cache) Stats {
 	}
 }
 
-func runOnce(f *ir.Func, lv *liveness.Info) (coalesced, candidates int) {
+func runOnce(f *ir.Func, ac *analysis.Cache) (coalesced, candidates int) {
+	var lv *liveness.Info // read from ac at the round's first candidate
 	// alias maps a merged-away register to its representative.
 	alias := make(map[ir.Reg]ir.Reg)
 	find := func(r ir.Reg) ir.Reg {
@@ -78,6 +81,9 @@ func runOnce(f *ir.Func, lv *liveness.Info) (coalesced, candidates int) {
 				continue
 			}
 			candidates++
+			if lv == nil {
+				lv = ac.Liveness()
+			}
 			rd, rs := find(dst), find(src)
 			if rd == rs {
 				// Already identical: the copy is trivially dead.

@@ -3,7 +3,9 @@ package coalesce
 import (
 	"testing"
 
+	"prescount/internal/analysis"
 	"prescount/internal/ir"
+	"prescount/internal/liveness"
 )
 
 func countCopies(f *ir.Func) int {
@@ -197,5 +199,53 @@ func TestIdempotentAfterFixpoint(t *testing.T) {
 	st := Run(f)
 	if st.Coalesced != 0 {
 		t.Errorf("second run coalesced %d, want 0", st.Coalesced)
+	}
+}
+
+// livenessRuns coalesces f through RunCached and counts the liveness
+// computations it made.
+func livenessRuns(f *ir.Func) (int, Stats) {
+	runs := 0
+	liveness.TestHookCompute = func(*ir.Func) { runs++ }
+	defer func() { liveness.TestHookCompute = nil }()
+	st := RunCached(f, analysis.New(f))
+	return runs, st
+}
+
+// TestLivenessOnlyForRoundsWithCopies checks that a round computes liveness
+// only once it meets a virtual-to-virtual copy. A chain that collapses in
+// round one leaves round two no copy, so only round one computes it; a
+// copy kept after round one still costs round two its liveness; a function
+// without copies computes none.
+func TestLivenessOnlyForRoundsWithCopies(t *testing.T) {
+	bd := ir.NewBuilder("chain")
+	base := bd.IConst(0)
+	v := bd.FLoad(base, 0)
+	bd.FStore(bd.FMov(bd.FMov(v)), base, 1)
+	bd.Ret()
+	if runs, st := livenessRuns(bd.Func()); runs != 1 || st.Coalesced != 2 {
+		t.Errorf("collapsing chain: %d liveness runs, %d coalesced; want 1 and 2", runs, st.Coalesced)
+	}
+
+	bd = ir.NewBuilder("kept")
+	base = bd.IConst(0)
+	v = bd.FLoad(base, 0)
+	w := bd.FMov(v)
+	bd.Assign(v, bd.FLoad(base, 1)) // coalesced in round one
+	bd.FStore(bd.FAdd(v, w), base, 2)
+	bd.Ret()
+	f := bd.Func()
+	runs, st := livenessRuns(f)
+	if runs != 2 || st.Coalesced != 1 || countCopies(f) != 1 {
+		t.Errorf("kept copy: %d liveness runs, %d coalesced, %d copies left; want 2, 1, 1",
+			runs, st.Coalesced, countCopies(f))
+	}
+
+	bd = ir.NewBuilder("nocopy")
+	base = bd.IConst(0)
+	bd.FStore(bd.FLoad(base, 0), base, 1)
+	bd.Ret()
+	if runs, _ := livenessRuns(bd.Func()); runs != 0 {
+		t.Errorf("copy-free function: %d liveness runs, want 0", runs)
 	}
 }

@@ -270,50 +270,67 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // each subgraph in descending order of conflict cost").
 func (g *Graph) Components() [][]ir.Reg {
 	n := len(g.Nodes)
-	seen := make([]bool, n)
-	// Every node lands in exactly one component: cut them all from one slab.
-	slab := make([]ir.Reg, 0, n)
-	var comps [][]ir.Reg
-	var stack []ir.Reg
-	for si, start := range g.Nodes {
-		if seen[si] {
+	// comp labels each node with 1 + its component, numbered in order of
+	// the component's smallest register (the DFS starts scan Nodes, which
+	// is in register order); top holds each component's maximum Cost_R.
+	comp := make([]int32, n)
+	var top []float64
+	var stack []int32
+	for si := range g.Nodes {
+		if comp[si] != 0 {
 			continue
 		}
-		from := len(slab)
-		stack = append(stack[:0], start)
-		seen[si] = true
+		top = append(top, 0)
+		c := int32(len(top))
+		stack = append(stack[:0], int32(si))
+		comp[si] = c
 		for len(stack) > 0 {
-			r := stack[len(stack)-1]
+			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			slab = append(slab, r)
-			for _, nb := range g.Neighbors(r) {
-				if i := g.index(nb); !seen[i] {
-					seen[i] = true
-					stack = append(stack, nb)
+			top[c-1] = max(top[c-1], g.cost[i])
+			for _, nb := range g.nbSlab[g.nbOff[i]:g.nbOff[i+1]] {
+				if j := g.index(nb); comp[j] == 0 {
+					comp[j] = c
+					stack = append(stack, int32(j))
 				}
 			}
 		}
-		comp := slab[from:len(slab):len(slab)]
-		slices.Sort(comp)
-		comps = append(comps, comp)
 	}
-	// Each component's maximum Cost_R is computed once. Components were
-	// found in order of their smallest register, so a stable sort by cost
-	// leaves ties to the smaller first register.
-	type ranked struct {
-		cost float64
-		comp []ir.Reg
+	// Rank the components: maximum cost descending, then smallest register
+	// ascending — a strict total order, since the numbering follows the
+	// smallest register.
+	k := len(top)
+	buf := make([]int32, 3*k)
+	rank, size, at := buf[:k], buf[k:2*k], buf[2*k:]
+	for c := range rank {
+		rank[c] = int32(c)
 	}
-	rs := make([]ranked, len(comps))
-	for i, comp := range comps {
-		rs[i].comp = comp
-		for _, r := range comp {
-			rs[i].cost = max(rs[i].cost, g.Cost(r))
+	slices.SortFunc(rank, func(a, b int32) int {
+		if c := cmp.Compare(top[b], top[a]); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	// Lay the components out in rank order in one slab and fill it in one
+	// pass over Nodes, so each comes out sorted by register.
+	for _, c := range comp {
+		size[c-1]++
 	}
-	slices.SortStableFunc(rs, func(a, b ranked) int { return cmp.Compare(b.cost, a.cost) })
-	for i, r := range rs {
-		comps[i] = r.comp
+	off := int32(0)
+	for _, c := range rank {
+		at[c] = off
+		off += size[c]
+	}
+	slab := make([]ir.Reg, n)
+	for i, r := range g.Nodes {
+		c := comp[i] - 1
+		slab[at[c]] = r
+		at[c]++
+	}
+	comps := make([][]ir.Reg, k)
+	for i, c := range rank {
+		end := at[c]
+		comps[i] = slab[end-size[c] : end : end]
 	}
 	return comps
 }

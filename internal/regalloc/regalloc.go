@@ -182,8 +182,8 @@ const numGPRFile = ir.NumGPR
 var allocPool = sync.Pool{New: func() any { return new(allocator) }}
 
 // greedyCtxStride is how many assignOne iterations pass between context
-// checks in RunContext. One iteration costs microseconds, up to a
-// function-wide scan when it spills, so the check costs nothing measurable
+// checks in RunContext. One iteration costs microseconds, up to a walk of
+// one register's sites when it spills, so the check costs nothing measurable
 // and bounds the overshoot past a deadline to a few iterations' work.
 const greedyCtxStride = 16
 
@@ -319,6 +319,10 @@ type allocator struct {
 	calleeBuf, callerBuf []int
 	// instrBuf is materialize's block-list buffer.
 	instrBuf []*ir.Instr
+	// sites is the per-register site index spilling walks (sites.go), and
+	// spanBuf the span it collects.
+	sites   siteIndex
+	spanBuf []spanSite
 
 	// clobber has one slot per call site. clobberFP and clobberGPR point
 	// to it for a class with caller-saved registers, and are nil when the
@@ -433,6 +437,8 @@ func (a *allocator) release() {
 	}
 	a.clobber = liveness.Interval{Segments: a.clobber.Segments[:0]}
 	a.victimScratch = a.victimScratch[:0]
+	a.sites.reset()
+	a.spanBuf = a.spanBuf[:0]
 	if a.queue != nil {
 		a.queue.release()
 		a.queue = nil

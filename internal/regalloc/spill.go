@@ -2,6 +2,7 @@ package regalloc
 
 import (
 	"math"
+	"slices"
 
 	"prescount/internal/ir"
 	"prescount/internal/liveness"
@@ -39,68 +40,72 @@ func (a *allocator) spill(r ir.Reg, c ir.Class) {
 	// spans raise pressure for everyone else.
 	const maxSpanSlots = 24
 
-	for _, b := range a.f.Blocks {
-		type useSite struct {
-			in   *ir.Instr
-			slot int
+	// The walk visits r's sites only. What a walk over every instruction
+	// would meet between two sites of one block is a call, which closes the
+	// span, or an instruction whose slot may exceed the span cap, which the
+	// next site's larger slot exceeds too; a block change closes the span
+	// as the block's end does.
+	span := a.spanBuf[:0]
+	flush := func() {
+		if len(span) == 0 {
+			return
 		}
-		var span []useSite
-		flush := func() {
-			if len(span) == 0 {
-				return
+		start := int(span[0].slot)
+		end := int(span[len(span)-1].slot) + 1
+		p := a.newPseudo(c, start, end)
+		a.pseudoParent.set(p, r)
+		members := make([]*ir.Instr, len(span))
+		for i, site := range span {
+			in, _, _ := a.instrAt(site.g)
+			a.sitePseudo[siteKey{in, r, false}] = p
+			if i == 0 {
+				a.firstReload[siteKey{in, r, false}] = true
 			}
-			start := span[0].slot
-			end := span[len(span)-1].slot + 1
-			p := a.newPseudo(c, start, end)
-			a.pseudoParent.set(p, r)
-			members := make([]*ir.Instr, len(span))
-			for i, site := range span {
-				a.sitePseudo[siteKey{site.in, r, false}] = p
-				if i == 0 {
-					a.firstReload[siteKey{site.in, r, false}] = true
-				}
-				members[i] = site.in
-			}
-			a.spanMembers.set(p, members)
-			span = span[:0]
+			members[i] = in
 		}
-		for i, in := range b.Instrs {
-			s := a.lv.ReadSlot(b, i)
-			if in.Op == ir.OpCall {
-				flush() // the reloaded value would be clobbered
-				continue
-			}
-			if a.splitChildAt(r, s) != ir.NoReg {
-				continue // this region belongs to a loop-split child
-			}
-			if len(span) > 0 && s+1-span[0].slot > maxSpanSlots {
-				flush()
-			}
-			usesR := false
-			for _, u := range in.Uses {
-				if u == r {
-					usesR = true
-				}
-			}
-			if usesR {
-				span = append(span, useSite{in, s})
-			}
-			for _, d := range in.Defs {
-				if d == r {
-					// A definition produces a new value: close the current
-					// span (its members read the old value) and store the
-					// new one from a fresh one-slot pseudo.
-					flush()
-					p := a.newPseudo(c, s+1, s+2)
-					a.sitePseudo[siteKey{in, r, true}] = p
-					a.pseudoParent.set(p, r)
-					break
-				}
-			}
-		}
-		flush()
+		a.spanMembers.set(p, members)
+		span = span[:0]
 	}
+	sites := a.sitesOf(r)
+	siteVisits.Add(int64(len(sites)))
+	prev := int32(-1)
+	for _, g := range sites {
+		in, b, i := a.instrAt(g)
+		if prev < 0 || a.sites.blockOf[prev] != a.sites.blockOf[g] || a.callBetween(prev, g) {
+			flush()
+		}
+		prev = g
+		s := a.lv.ReadSlot(b, i)
+		if in.Op == ir.OpCall {
+			flush() // the reloaded value would be clobbered
+			continue
+		}
+		if a.splitChildAt(r, s) != ir.NoReg {
+			continue // this region belongs to a loop-split child
+		}
+		if len(span) > 0 && s+1-int(span[0].slot) > maxSpanSlots {
+			flush()
+		}
+		if slices.Contains(in.Uses, r) {
+			span = append(span, spanSite{g, int32(s)})
+		}
+		if slices.Contains(in.Defs, r) {
+			// A definition produces a new value: close the current span
+			// (its members read the old value) and store the new one from
+			// a fresh one-slot pseudo.
+			flush()
+			p := a.newPseudo(c, s+1, s+2)
+			a.sitePseudo[siteKey{in, r, true}] = p
+			a.pseudoParent.set(p, r)
+		}
+	}
+	flush()
+	a.spanBuf = span
 }
+
+// spanSite is one use of a spilled register collected into a span: its
+// global instruction number and read slot.
+type spanSite struct{ g, slot int32 }
 
 // demoteSpan splits an unallocatable span pseudo back into per-use
 // pseudos and requeues them. Returns false if the pseudo is already at
@@ -115,45 +120,46 @@ func (a *allocator) demoteSpan(p ir.Reg) bool {
 	a.spanMembers.set(p, nil)
 	a.override.set(p, nil)
 	a.pinned.Remove(p)
-	// Locate each member's slot again via the instruction's site key; the
-	// member order preserved from spill() is block order, and slots are
-	// recoverable from the liveness linearization.
-	for _, b := range a.f.Blocks {
-		for i, in := range b.Instrs {
-			key := siteKey{in, parent, false}
-			if a.sitePseudo[key] != p {
-				continue
-			}
-			s := a.lv.ReadSlot(b, i)
-			np := a.newPseudo(c, s, s+1)
-			a.pseudoParent.set(np, parent)
-			a.sitePseudo[key] = np
-			a.firstReload[key] = true
-			a.spanMembers.set(np, []*ir.Instr{in})
+	// Members are uses of the spilled parent, so they are among its sites;
+	// each is found again through its site key, in layout order.
+	sites := a.sitesOf(parent)
+	siteVisits.Add(int64(len(sites)))
+	for _, g := range sites {
+		in, b, i := a.instrAt(g)
+		key := siteKey{in, parent, false}
+		if a.sitePseudo[key] != p {
+			continue
 		}
+		s := a.lv.ReadSlot(b, i)
+		np := a.newPseudo(c, s, s+1)
+		a.pseudoParent.set(np, parent)
+		a.sitePseudo[key] = np
+		a.firstReload[key] = true
+		a.spanMembers.set(np, []*ir.Instr{in})
 	}
 	return true
 }
 
 // rematSource returns the single constant-producing definition of r, or
 // nil when r is not rematerializable (multiple definitions, or a
-// non-constant producer).
+// non-constant producer). Every definition of r is one of its sites.
 func (a *allocator) rematSource(r ir.Reg) *ir.Instr {
 	var def *ir.Instr
-	for _, b := range a.f.Blocks {
-		for _, in := range b.Instrs {
-			for _, d := range in.Defs {
-				if d != r {
-					continue
-				}
-				if def != nil {
-					return nil // redefined
-				}
-				if in.Op != ir.OpFConst && in.Op != ir.OpIConst {
-					return nil
-				}
-				def = in
+	sites := a.sitesOf(r)
+	siteVisits.Add(int64(len(sites)))
+	for _, g := range sites {
+		in, _, _ := a.instrAt(g)
+		for _, d := range in.Defs {
+			if d != r {
+				continue
 			}
+			if def != nil {
+				return nil // redefined
+			}
+			if in.Op != ir.OpFConst && in.Op != ir.OpIConst {
+				return nil
+			}
+			def = in
 		}
 	}
 	return def
@@ -269,6 +275,8 @@ func (a *allocator) materialize() {
 		slab = append(slab, b.Instrs...)
 		b.Instrs = slab[start:len(slab):len(slab)]
 	}
-	clear(a.instrBuf[:cap(a.instrBuf)])
+	// Clear what this run filled: every earlier run cleared its own part,
+	// so no slot past it holds an instruction either.
+	clear(a.instrBuf)
 	a.f.NumFPRegs = cfg.NumRegs
 }

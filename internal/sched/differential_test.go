@@ -59,6 +59,9 @@ func checkAgainstReference(t *testing.T, name string, f *ir.Func) {
 // the scoring corner cases: call barriers, aliasing and disjoint memory
 // operations, spill-slot traffic, repeated operands (x*x, fma x,x,x),
 // redefinitions of live virtual registers, and physical register operands.
+// One block in four is load-heavy instead, like the DSA-OP kernels: mostly
+// loads over one base, a few stores over it and spill-slot reads, which
+// exercise the scheduler's separate read and write lists.
 // Blocks share registers, so per-block state must not leak across blocks.
 func randomBlocks(rng *rand.Rand, nblocks, size int) *ir.Func {
 	f := ir.NewFunc(fmt.Sprintf("blocks%dx%d", nblocks, size))
@@ -110,8 +113,28 @@ func randomBlocks(rng *rand.Rand, nblocks, size int) *ir.Func {
 	for bi := 0; bi < nblocks; bi++ {
 		b := f.NewBlock(fmt.Sprintf("b%d", bi))
 		n := rng.Intn(size + 1)
+		loadHeavy := rng.Intn(4) == 0
 		for i := 0; i < n; i++ {
 			var in *ir.Instr
+			if loadHeavy {
+				switch r := rng.Intn(20); {
+				case r < 13:
+					in = &ir.Instr{Op: ir.OpFLoad, Uses: []ir.Reg{gprs[0]}, Imm: int64(rng.Intn(6))}
+					in.Defs = []ir.Reg{def(ir.ClassFP)}
+				case r < 14:
+					in = &ir.Instr{Op: ir.OpFStore, Uses: []ir.Reg{fpUse(), gprs[0]}, Imm: int64(rng.Intn(6))}
+				case r < 16:
+					in = &ir.Instr{Op: ir.OpFReload, Imm: int64(rng.Intn(2))}
+					in.Defs = []ir.Reg{def(ir.ClassFP)}
+				case r < 17:
+					in = &ir.Instr{Op: ir.OpFSpill, Uses: []ir.Reg{fpUse()}, Imm: int64(rng.Intn(2))}
+				default:
+					in = &ir.Instr{Op: fpOps[rng.Intn(len(fpOps))], Uses: []ir.Reg{fpUse(), fpUse()}}
+					in.Defs = []ir.Reg{def(ir.ClassFP)}
+				}
+				b.Instrs = append(b.Instrs, in)
+				continue
+			}
 			switch r := rng.Intn(20); {
 			case r < 6:
 				x := fpUse()

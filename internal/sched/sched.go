@@ -8,6 +8,7 @@ package sched
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"prescount/internal/ir"
 	"prescount/internal/scratch"
@@ -78,9 +79,12 @@ type blockScratch struct {
 	// fp and gpr are each instruction's current score: net live growth of
 	// its class if scheduled now. Scores only fall as readers retire.
 	fp, gpr []int32
-	memOps  []int32
-	ready   readyHeap
-	order   []int32
+	// reads and writes list the block's memory reads and writes so far.
+	// Two reads never alias, so a read is checked against earlier writes
+	// only and a write against both.
+	reads, writes []int32
+	ready         readyHeap
+	order         []int32
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -146,7 +150,8 @@ func (sc *blockScratch) prepare(n int) {
 	sc.gpr = scratch.Zeroed(sc.gpr, n)
 	sc.useNext = sc.useNext[:0]
 	sc.useInstr = sc.useInstr[:0]
-	sc.memOps = sc.memOps[:0]
+	sc.reads = sc.reads[:0]
+	sc.writes = sc.writes[:0]
 	sc.ready = sc.ready[:0]
 	sc.order = sc.order[:0]
 	sc.epoch++
@@ -187,7 +192,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 			sc.indeg[to]++
 		}
 	}
-	lastBarrier := -1
+	lastBarrier, checks := -1, 0
 	for i, in := range body {
 		// Calls are full scheduling barriers: they clobber caller-saved
 		// registers, so no instruction may move across one.
@@ -231,14 +236,29 @@ func scheduleBlock(f *ir.Func, b *ir.Block, sc *blockScratch) bool {
 			}
 		}
 		if isMem(in.Op) {
-			for _, m := range sc.memOps {
+			// A read checks the earlier writes, a write every earlier
+			// operation. Each earlier operation sits in one list, so each
+			// source gains this edge at most once, as from one scan.
+			checks += len(sc.writes)
+			for _, m := range sc.writes {
 				if mayAlias(body[m], in) {
 					addDep(int(m), i)
 				}
 			}
-			sc.memOps = append(sc.memOps, int32(i))
+			if isRead(in.Op) {
+				sc.reads = append(sc.reads, int32(i))
+			} else {
+				checks += len(sc.reads)
+				for _, m := range sc.reads {
+					if mayAlias(body[m], in) {
+						addDep(int(m), i)
+					}
+				}
+				sc.writes = append(sc.writes, int32(i))
+			}
 		}
 	}
+	aliasChecks.Add(int64(checks))
 
 	// Greedy choice: among ready instructions pick the one minimizing net
 	// FP live growth, then net GPR growth, then original order (stability).
@@ -423,15 +443,20 @@ func isMem(op ir.Op) bool {
 	return false
 }
 
+// isRead reports whether a memory operation only reads.
+func isRead(op ir.Op) bool { return op == ir.OpFLoad || op == ir.OpFReload }
+
+// aliasChecks counts mayAlias calls made while building dependence graphs,
+// process-wide. Package tests read it as a difference.
+var aliasChecks atomic.Int64
+
 // mayAlias reports whether two memory operations might touch the same
 // location and therefore must stay ordered. It applies three facts:
 // two reads never conflict; spill slots live in a private area disjoint
 // from program memory; accesses off the same base register with different
 // offsets are disjoint.
 func mayAlias(a, b *ir.Instr) bool {
-	aRead := a.Op == ir.OpFLoad || a.Op == ir.OpFReload
-	bRead := b.Op == ir.OpFLoad || b.Op == ir.OpFReload
-	if aRead && bRead {
+	if isRead(a.Op) && isRead(b.Op) {
 		return false
 	}
 	aSpill := a.Op == ir.OpFSpill || a.Op == ir.OpFReload

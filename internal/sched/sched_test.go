@@ -189,3 +189,30 @@ func TestSmallBlocksUntouched(t *testing.T) {
 		t.Errorf("tiny block reordered")
 	}
 }
+
+// TestAliasChecksSkipReadPairs schedules one block of 2,048 loads and 128
+// stores over one base, a store after every sixteen loads. Two reads never
+// alias, so the scheduler checks each read–write pair and each write–write
+// pair once: R·W + W(W−1)/2 = 270,272 checks, where checking every pair of
+// memory operations made (R+W)(R+W−1)/2 = 2,366,400.
+func TestAliasChecksSkipReadPairs(t *testing.T) {
+	const reads, writes = 2048, 128
+	bd := ir.NewBuilder("loads")
+	base := bd.IConst(0)
+	var last ir.Reg
+	for i := 0; i < reads+writes; i++ {
+		if i%17 == 16 {
+			bd.FStore(last, base, int64(4096+i))
+		} else {
+			last = bd.FLoad(base, int64(i))
+		}
+	}
+	bd.Ret()
+	f := bd.Func()
+	before := aliasChecks.Load()
+	Run(f)
+	got := aliasChecks.Load() - before
+	if want := int64(reads*writes + writes*(writes-1)/2); got != want {
+		t.Fatalf("alias checks = %d, want %d", got, want)
+	}
+}
